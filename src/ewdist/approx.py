@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import betainccinv
 
-from .dist import BetaShape
+from .dist import BetaShape, _positive
 from .errors import DomainError, NumericError, RegimeError
-from .specfun import ln_beta, reg_inc_beta
+from .specfun import ln_beta
 
 __all__ = [
     "RatioSetting",
@@ -53,13 +53,6 @@ CERTIFICATE_SETTINGS = (
     (6.0, 5.0, 50.0, 50.0),
     (30.0, 25.0, 50.0, 50.0),
 )
-
-
-def _positive(name, value) -> float:
-    v = float(value)
-    if not np.isfinite(v) or v <= 0.0:
-        raise DomainError(f"{name} must be strictly positive and finite, got {value!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -207,9 +200,10 @@ def _log_k0(s: RatioSetting):
     )
 
 
-def _log_joint(u, w, s: RatioSetting):
+def _log_joint(u, w, s: RatioSetting, log_k0: float):
+    """Log joint density of (U, W); `log_k0` is `_log_k0(s)`, hoisted by the caller."""
     return (
-        _log_k0(s)
+        log_k0
         + (0.5 * (s.m1 + s.m2) - 1.0) * np.log(u)
         + (0.5 * s.m1 - 1.0) * np.log(w)
         + (0.5 * s.m2 - 1.0) * np.log1p(-w)
@@ -226,7 +220,7 @@ def joint_density(u, w, s: RatioSetting):
         raise DomainError("u must be strictly positive")
     if np.any(ww <= 0.0) or np.any(ww >= 1.0):
         raise DomainError("w must lie strictly inside (0, 1)")
-    out = np.exp(_log_joint(uu, ww, s))
+    out = np.exp(_log_joint(uu, ww, s, _log_k0(s)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -277,35 +271,21 @@ def bound_constants(s: RatioSetting, check_regime: bool = True) -> BoundConstant
     )
 
 
-@lru_cache(maxsize=64)
-def _u_tail_cutoff_cached(m1, m2, nu1, nu2, tail):
-    s = RatioSetting(m1, m2, nu1, nu2)
-    t1, t2 = _upper_beta_args(s)
-
-    def tail_mass(u):
-        x = s.m2 * u / s.nu2
-        return 1.0 - reg_inc_beta(x / (1.0 + x), t1, t2)
-
-    lo, hi = 1.0, 2.0
-    while tail_mass(hi) > tail:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NumericError("could not bracket the u tail cutoff", setting=str(s))
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if tail_mass(mid) > tail:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-6:
-            break
-    return hi
-
-
 def u_tail_cutoff(s: RatioSetting, tail: float = 1e-12) -> float:
-    """u beyond which the upper u-envelope holds less than `tail` mass."""
+    """u beyond which the upper u-envelope holds exactly `tail` mass.
+
+    Under the upper u-envelope, y = x/(1+x) with x = m2*u/nu2 is
+    Beta(t1, t2), so the cutoff is the closed-form upper quantile of y.
+    """
     _require_upper_args(s)
-    return _u_tail_cutoff_cached(s.m1, s.m2, s.nu1, s.nu2, float(tail))
+    tail = float(tail)
+    if not 0.0 < tail < 1.0:
+        raise DomainError(f"tail must lie strictly inside (0, 1), got {tail!r}")
+    t1, t2 = _upper_beta_args(s)
+    y = float(betainccinv(t1, t2, tail))
+    if not y < 1.0:
+        raise NumericError("u tail cutoff is not finite", setting=str(s), tail=tail)
+    return s.nu2 / s.m2 * y / (1.0 - y)
 
 
 def marginal_w_density(w, s: RatioSetting, quad_nodes: int = 200) -> float:
@@ -320,8 +300,9 @@ def marginal_w_density(w, s: RatioSetting, quad_nodes: int = 200) -> float:
     if not 0.0 < w < 1.0:
         raise DomainError("w must lie strictly inside (0, 1)")
     cutoff = u_tail_cutoff(s, 1e-12) if s.nu2 > s.m1 else _fallback_cutoff(s)
+    log_k0 = _log_k0(s)
     res = quad(
-        lambda u: math.exp(_log_joint(u, w, s)),
+        lambda u: math.exp(_log_joint(u, w, s, log_k0)),
         0.0,
         cutoff,
         limit=int(quad_nodes),
@@ -405,7 +386,7 @@ def certify_bounds(
     u_grid = np.logspace(-4.0, math.log10(u_hi), n_u)
     uu, ww = np.meshgrid(u_grid, w_grid, indexing="ij")
 
-    log_h = _log_joint(uu, ww, s)
+    log_h = _log_joint(uu, ww, s, _log_k0(s))
     log_env_w = _log_w_envelope(ww, s.m1, s.m2)
     log_up = log_a1 + _log_u_upper(uu, s) + log_env_w
     log_lo = log_a2 + _log_u_lower(uu, s) + log_env_w

@@ -6,8 +6,9 @@ Commands: simulate-w, compare-cdf, gof-table, omega, elemental,
 certify-bounds.  Exit codes: 0 success, 2 usage or domain error, 3 I/O
 failure, 4 numeric non-convergence.  A config file of key=value lines can
 pre-set any flag of the invoked command; explicit flags override it.
-Outputs are byte-identical for identical (flags, seed), regardless of
-EW_THREADS.
+Outputs are byte-identical for identical (flags, seed), whatever the
+number of worker threads.  On exit 4 the error's diagnostics follow the
+message on stderr as sorted key=value pairs.
 """
 
 from __future__ import annotations
@@ -347,6 +348,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except NumericError as exc:
         print(f"ew: numeric failure: {exc}", file=sys.stderr)
+        for key, value in sorted(exc.diagnostics.items()):
+            print(f"ew:   {key}={value}", file=sys.stderr)
         return 4
     except (DomainError, SizeError, ConfigError, RankError) as exc:
         print(f"ew: {exc}", file=sys.stderr)

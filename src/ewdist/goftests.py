@@ -1,4 +1,4 @@
-"""Empirical-distribution comparison: ECDF, KS, Anderson-Darling, TV.
+"""Empirical-distribution comparison: ECDF, KS, Anderson-Darling, ECDF L1 distance.
 
 One-sample KS evaluates both one-sided gaps exactly at the jump points.
 The two-sample Anderson-Darling statistic is the midrank (tie-tolerant)
@@ -31,8 +31,10 @@ __all__ = [
 
 # asymptotic Kolmogorov quantiles c(alpha): P(sup|B(t)| > c) = alpha
 KS_CRITICAL = {0.01: 1.628, 0.05: 1.358}
-# standardized two-sample Anderson-Darling critical points
-AD_CRITICAL = {0.01: 3.857, 0.05: 1.960}
+# standardized two-sample Anderson-Darling critical points: Scholz & Stephens
+# (1987), "K-sample Anderson-Darling tests", JASA 82, 918-924, interpolation
+# b0 + b1/sqrt(m) + b2/m at m = k - 1 = 1 (as scipy.stats.anderson_ksamp reports)
+AD_CRITICAL = {0.01: 3.752, 0.05: 1.961}
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,11 @@ def ad_two_sample(a, b, alpha: float = 0.01) -> GofResult:
 
 
 def tv_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
-    """Half the integral of |F_a - F_b| over [0, 1], exact on the step grid."""
+    """Half the L1 distance between two ECDFs: 0.5 * integral of |F_a - F_b| over [0, 1].
+
+    Exact on the step grid.  This is not the total-variation distance
+    between the laws: point masses at 0 and 1 give 0.5, where TV is 1.
+    """
     for e, name in ((a, "a"), (b, "b")):
         if e.values[0] < 0.0 or e.values[-1] > 1.0:
             raise DomainError(f"ECDF {name} has values outside [0, 1]")

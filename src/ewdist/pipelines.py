@@ -2,19 +2,17 @@
 
 Pure functions: they take parameters and a seed and return rows/summaries
 ready for serialization.  All replication loops derive child seeds by
-index, so results are independent of worker count.
+index, so each row depends only on its seed and parameters.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import approx, elemental, goftests, product
 from .dist import MvtParams, beta_cdf, beta_sample, mvt_sample_rows, w_sample
 from .errors import DomainError, RegimeError
-from .rng import derive_seed, worker_count
+from .rng import derive_seed
 
 __all__ = [
     "DEFAULT_GOF_GRID",
@@ -84,14 +82,6 @@ def compare_cdf_rows(m1, m2, nu, n, grid_points, seed):
     return rows, {"md": float(gaps.max())}
 
 
-def _parallel_map(fn, items):
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def gof_table_rows(grid, n, replications, seed, alpha=0.01):
     """One row per grid entry per replication, two-sample mode.
 
@@ -101,8 +91,7 @@ def gof_table_rows(grid, n, replications, seed, alpha=0.01):
     for m1, m2, nu in grid:
         _require_approx_regime(m1, m2, nu)
 
-    def one(task):
-        row_idx, rep = task
+    def one(row_idx, rep):
         m1, m2, nu = grid[row_idx]
         rep_seed = derive_seed(derive_seed(seed, row_idx), rep)
         w = w_sample(m1, m2, nu, n, derive_seed(rep_seed, 0))
@@ -114,8 +103,7 @@ def gof_table_rows(grid, n, replications, seed, alpha=0.01):
             ks.statistic, ks.identical, ad.statistic, ad.identical,
         )
 
-    tasks = [(i, r) for i in range(len(grid)) for r in range(int(replications))]
-    return _parallel_map(one, tasks)
+    return [one(i, r) for i in range(len(grid)) for r in range(int(replications))]
 
 
 def omega_rows(rho, n2, n, grid_points, seed):

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
+from scipy.special import betaincinv
 
 from .approx import approx_shape
 from .dist import beta_pdf, beta_cdf
@@ -86,20 +87,6 @@ def omega_log_moment(spec: ProductSpec) -> float:
     return spec.n2 * float(digamma(shape.alpha + shape.beta) - digamma(shape.alpha))
 
 
-def _factor_z_max(shape, tail: float) -> float:
-    """z with P(-ln T > z) = P(T < e^-z) below `tail`, by bisection in log x."""
-    lo, hi = -745.0, math.log(0.5)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if reg_inc_beta(math.exp(mid), shape.alpha, shape.beta) > tail:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-9:
-            break
-    return -lo
-
-
 @lru_cache(maxsize=32)
 def _log_grid(rho: int, n2: int, nodes: int):
     """Convolved cell masses of Z = sum of -ln(factor), cached per spec.
@@ -111,7 +98,8 @@ def _log_grid(rho: int, n2: int, nodes: int):
     """
     spec = ProductSpec(rho, n2)
     shape = spec.factor_shape
-    z_max = _factor_z_max(shape, _FACTOR_TAIL)
+    # z with P(-ln T > z) = P(T < e^-z) = _FACTOR_TAIL
+    z_max = -math.log(betaincinv(shape.alpha, shape.beta, _FACTOR_TAIL))
     dz = z_max / nodes
     edges = np.linspace(0.0, z_max, nodes + 1)
     # tail(z) = P(Z1 > z); differencing tails keeps tiny masses accurate

@@ -4,7 +4,8 @@ All sampling in the package is chunked: a request for n draws is split
 into fixed-size chunks and chunk k is generated from its own Philox
 stream keyed by (seed, CHUNK_TAG, k).  The result therefore depends only
 on (seed, parameters, n) and never on how many workers processed the
-chunks.  ``EW_THREADS`` caps the worker count; it cannot change output.
+chunks.  Chunks run on one thread per CPU available to the process, capped
+at the chunk count; a single chunk runs in the calling thread.
 
 ``derive_seed`` produces independent child seeds (keyed by a different
 tag) so a command can hand disjoint streams to sub-tasks.
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["GENERATOR_NAME", "CHUNK_SIZE", "chunk_stream", "derive_seed", "sample_chunks", "worker_count"]
+__all__ = ["GENERATOR_NAME", "CHUNK_SIZE", "chunk_stream", "derive_seed", "sample_chunks"]
 
 GENERATOR_NAME = "philox4x64/v1"
 CHUNK_SIZE = 1 << 15
@@ -51,14 +52,12 @@ def derive_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def worker_count() -> int:
-    """Worker cap from EW_THREADS (>= 1); defaults to 1."""
-    raw = os.environ.get("EW_THREADS", "1")
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
     try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"EW_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def sample_chunks(n: int, seed: int, draw):
@@ -76,8 +75,8 @@ def sample_chunks(n: int, seed: int, draw):
         count = min(CHUNK_SIZE, n - k * CHUNK_SIZE)
         return draw(chunk_stream(seed, k), count)
 
-    workers = worker_count()
-    if workers > 1 and n_chunks > 1:
+    workers = min(_available_cpus(), n_chunks)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one, range(n_chunks)))
     else:

@@ -255,8 +255,8 @@ def test_c7_gof_self_calibration():
     assert two == 0.0
 
 
-def _run_all_commands(tmp_path, tag, monkeypatch, threads):
-    monkeypatch.setenv("EW_THREADS", threads)
+def _run_all_commands(tmp_path, tag, monkeypatch, cpus):
+    monkeypatch.setattr("ewdist.rng._available_cpus", lambda: cpus)
     outs = {}
     jobs = {
         "simulate-w": ["simulate-w", "--m1", "3", "--m2", "2", "--nu", "50",
@@ -280,10 +280,10 @@ def _run_all_commands(tmp_path, tag, monkeypatch, threads):
 
 
 def test_c8_cli_determinism(tmp_path, monkeypatch):
-    """Byte-identical outputs across reruns and EW_THREADS in {1, 4}."""
-    first = _run_all_commands(tmp_path, "t1", monkeypatch, "1")
-    again = _run_all_commands(tmp_path, "t1b", monkeypatch, "1")
-    threaded = _run_all_commands(tmp_path, "t4", monkeypatch, "4")
+    """Byte-identical outputs across reruns and 1 or 4 sampler workers."""
+    first = _run_all_commands(tmp_path, "t1", monkeypatch, 1)
+    again = _run_all_commands(tmp_path, "t1b", monkeypatch, 1)
+    threaded = _run_all_commands(tmp_path, "t4", monkeypatch, 4)
     ok = first == again == threaded
     _report("criterion 8", ok, f"{len(first)} commands byte-identical across runs and threads")
     assert first == again

@@ -18,11 +18,12 @@ from ewdist.approx import (
     tv_bound,
     u_envelope_lower_density,
     u_envelope_upper_density,
+    u_tail_cutoff,
     upper_constant,
     w_envelope_density,
 )
 from ewdist.dist import FParams, f_pdf
-from ewdist.errors import DomainError, RegimeError
+from ewdist.errors import DomainError, NumericError, RegimeError
 
 
 def mp_constants(m1, m2, nu1, nu2):
@@ -96,6 +97,31 @@ def test_u_envelope_upper_tail_exponent():
         / math.log(u2 / u1)
     )
     assert slope == pytest.approx(expected, rel=0.01)
+
+
+@pytest.mark.parametrize("setting", CERTIFICATE_SETTINGS)
+@pytest.mark.parametrize("tail", [1e-10, 1e-12])
+def test_u_tail_cutoff_holds_target_tail_mass(setting, tail):
+    s = RatioSetting(*setting)
+    u = u_tail_cutoff(s, tail)
+    with mp.workdps(40):
+        x = mp.mpf(s.m2) * mp.mpf(u) / mp.mpf(s.nu2)
+        t1, t2 = mp.mpf(s.m1 + s.m2) / 2, mp.mpf(s.nu2 - s.m1) / 2
+        # P(U > u) = P(1 - Y < 1/(1+x)) with 1 - Y ~ Beta(t2, t1)
+        mass = mp.betainc(t2, t1, 0, 1 / (1 + x), regularized=True)
+        assert abs(mass / tail - 1) <= 1e-9
+
+
+@pytest.mark.parametrize("tail", [0.0, 1.0, -1e-3, float("nan")])
+def test_u_tail_cutoff_rejects_tail_outside_unit_interval(tail):
+    with pytest.raises(DomainError):
+        u_tail_cutoff(RatioSetting(3, 2, 50, 50), tail)
+
+
+def test_u_tail_cutoff_unbounded_quantile_is_numeric_error():
+    # t2 = (nu2 - m1)/2 = 0.05: the 1e-12 upper quantile of y rounds to 1
+    with pytest.raises(NumericError):
+        u_tail_cutoff(RatioSetting(3, 2, 50, 3.1), 1e-12)
 
 
 def test_joint_density_matches_jacobian_product(rng):

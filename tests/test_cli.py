@@ -39,8 +39,8 @@ def test_compare_cdf_regime_violation_exits_2(tmp_path, capsys):
 
 def test_byte_identical_reruns_and_thread_independence(tmp_path, monkeypatch):
     runs = {}
-    for tag, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-        monkeypatch.setenv("EW_THREADS", threads)
+    for tag, cpus in (("a", 1), ("b", 4), ("c", 1)):
+        monkeypatch.setattr("ewdist.rng._available_cpus", lambda: cpus)
         out = tmp_path / f"{tag}.csv"
         assert run_cli(
             ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 100000,
@@ -48,6 +48,23 @@ def test_byte_identical_reruns_and_thread_independence(tmp_path, monkeypatch):
         ) == 0
         runs[tag] = out.read_bytes()
     assert runs["a"] == runs["b"] == runs["c"]
+
+
+def test_numeric_failure_exits_4_with_diagnostics(tmp_path, monkeypatch, capsys):
+    from ewdist import pipelines
+    from ewdist.errors import NumericError
+
+    def fail(*args, **kwargs):
+        raise NumericError("x", w=0.5)
+
+    monkeypatch.setattr(pipelines, "compare_cdf_rows", fail)
+    code = run_cli(
+        ["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--out", tmp_path / "x.csv"]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "numeric failure: x" in err
+    assert "w=0.5" in err
 
 
 def test_gof_table_default_grid_and_json_schema(tmp_path):

@@ -169,8 +169,8 @@ def test_mvt_rejects_non_spd_scale():
 
 def test_sampler_unchanged_by_thread_count(monkeypatch):
     p = FParams(3, 50)
-    monkeypatch.setenv("EW_THREADS", "1")
+    monkeypatch.setattr("ewdist.rng._available_cpus", lambda: 1)
     a = f_sample(p, 100_000, 55)
-    monkeypatch.setenv("EW_THREADS", "4")
+    monkeypatch.setattr("ewdist.rng._available_cpus", lambda: 4)
     b = f_sample(p, 100_000, 55)
     assert np.array_equal(a, b)

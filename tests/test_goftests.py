@@ -126,6 +126,15 @@ def test_ad_critical_value_and_flag(rng):
     assert res.identical == (res.statistic < res.critical_value)
 
 
+def test_ad_critical_values_match_scipy(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = anderson_ksamp([rng.normal(size=80), rng.normal(size=90)])
+    # scipy's levels are (0.25, 0.1, 0.05, 0.025, 0.01, 0.005, 0.001)
+    assert AD_CRITICAL[0.05] == pytest.approx(res.critical_values[2], abs=1e-12)
+    assert AD_CRITICAL[0.01] == pytest.approx(res.critical_values[4], abs=1e-12)
+
+
 def test_ad_rejects_degenerate_pool():
     with pytest.raises(DomainError):
         ad_two_sample([1.0, 1.0], [1.0])

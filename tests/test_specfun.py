@@ -90,3 +90,15 @@ def test_reg_inc_beta_array_broadcast():
     out = reg_inc_beta(x, 2.0, 3.0)
     assert out.shape == (3,)
     assert np.all(np.diff(out) > 0)
+
+
+@pytest.mark.parametrize(
+    "x, a, b",
+    [(0.5074, 47.235, 45.048), (0.45, 40.5, 52.25), (0.62, 58.0, 33.5), (0.3, 25.5, 60.0)],
+)
+def test_reg_inc_beta_large_shapes_against_mpmath(x, a, b):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        ref = float(mp.betainc(a, b, 0, x, regularized=True))
+    assert abs(reg_inc_beta(x, a, b) - ref) <= 1e-14
