@@ -40,16 +40,13 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header, rows, footer=None):
-    try:
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-            for row in footer or []:
-                writer.writerow([_fmt(v) for v in row])
-    except OSError:
-        raise
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        for row in footer or []:
+            writer.writerow([_fmt(v) for v in row])
 
 
 def _write_json(path, payload):

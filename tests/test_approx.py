@@ -11,6 +11,7 @@ from ewdist.approx import (
     RatioSetting,
     approx_shape,
     certify_bounds,
+    default_w_grid,
     joint_density,
     joint_total_mass,
     lower_constant,
@@ -186,9 +187,107 @@ def test_marginal_symmetric_under_exchange():
         )
 
 
-def test_marginal_rejects_small_node_budget():
+def mp_marginal(w, setting, dps=40):
+    """f_W(w) as an mpmath quadrature over t = log u (oracle).
+
+    The integrand is scaled by its value at the mode, which is bisected on
+    the slope: mp.quad's convergence test is absolute, and the tails are
+    far below 10**-dps.  Break points sit at 2, 8 and 32 curvature widths
+    on either side of the mode.
+    """
+    with mp.workdps(dps):
+        m1, m2, nu1, nu2 = (mp.mpf(v) for v in setting)
+        w = mp.mpf(w)
+        a, p, q = (m1 + m2) / 2, (m1 + nu1) / 2, (m2 + nu2) / 2
+        alpha, beta = m1 * w / nu1, m2 * (1 - w) / nu2
+        log_c = (
+            m1 / 2 * mp.log(m1 / nu1) + m2 / 2 * mp.log(m2 / nu2)
+            - mp.log(mp.beta(m1 / 2, nu1 / 2)) - mp.log(mp.beta(m2 / 2, nu2 / 2))
+            + (m1 / 2 - 1) * mp.log(w) + (m2 / 2 - 1) * mp.log1p(-w)
+        )
+
+        def log_g(t):
+            x = mp.exp(t)
+            return log_c + a * t - p * mp.log1p(alpha * x) - q * mp.log1p(beta * x)
+
+        def slope(t):
+            x = mp.exp(t)
+            return a - p * alpha * x / (1 + alpha * x) - q * beta * x / (1 + beta * x)
+
+        lo, hi = mp.mpf(-800), mp.mpf(800)
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        x1, x2 = alpha * mp.exp(lo), beta * mp.exp(lo)
+        width = 1 / mp.sqrt(p * x1 / (1 + x1) ** 2 + q * x2 / (1 + x2) ** 2)
+        breaks = [-mp.inf] + [lo + k * width for k in (-32, -8, -2, 0, 2, 8, 32)] + [mp.inf]
+        top = log_g(lo)
+        return mp.exp(top) * mp.quad(lambda t: mp.exp(log_g(t) - top), breaks)
+
+
+@pytest.mark.parametrize(
+    "setting,w,expected",
+    [((30, 25, 50, 50), 0.01, 1.626037e-15), ((40, 25, 50, 50), 0.99, 3.794940e-14)],
+)
+def test_marginal_tail_points_match_mpmath(setting, w, expected):
+    # adaptive quad with an absolute floor was 4.7% high and 86% low here
+    ref = float(mp_marginal(w, setting))
+    assert abs(ref / expected - 1.0) <= 1e-6
+    assert abs(marginal_w_density(w, RatioSetting(*setting)) / ref - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "setting", CERTIFICATE_SETTINGS + ((60.0, 2.0, 50.0, 50.0), (100.0, 90.0, 150.0, 150.0))
+)
+def test_marginal_matches_mpmath(setting):
+    # (60, 2, 50, 50) has nu2 <= m1, where no u tail cutoff exists; at
+    # (100, 90, 150, 150) the mode is so peaked that a step of 1/8 is 1e-7 off
+    ws = (0.01, 0.5, 0.99)
+    got = marginal_w_density(np.array(ws), RatioSetting(*setting))
+    for w, value in zip(ws, got):
+        assert abs(value / float(mp_marginal(w, setting)) - 1.0) <= 1e-10, w
+
+
+@pytest.mark.parametrize("setting", CERTIFICATE_SETTINGS)
+def test_joint_total_mass_is_one_to_1e10(setting):
+    assert abs(joint_total_mass(RatioSetting(*setting)) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("setting", CERTIFICATE_SETTINGS)
+def test_marginal_array_call_matches_scalar_calls(setting):
+    s = RatioSetting(*setting)
+    grid = default_w_grid()
+    batched = marginal_w_density(grid, s)
+    assert isinstance(batched, np.ndarray) and batched.shape == grid.shape
+    scalar = np.array([marginal_w_density(float(w), s) for w in grid])
+    assert np.abs(batched / scalar - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("setting", CERTIFICATE_SETTINGS)
+def test_marginal_self_converges_under_step_halving(setting, monkeypatch):
+    s = RatioSetting(*setting)
+    grid = default_w_grid()
+    coarse = marginal_w_density(grid, s)
+    monkeypatch.setattr(approx, "_STEP", approx._STEP / 2)
+    fine = marginal_w_density(grid, s)
+    assert np.abs(fine / coarse - 1.0).max() <= 1e-13
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, -0.1, float("nan")])
+def test_marginal_rejects_w_outside_unit_interval(w):
+    s = RatioSetting(3, 2, 50, 50)
     with pytest.raises(DomainError):
-        marginal_w_density(0.5, RatioSetting(3, 2, 50, 50), quad_nodes=32)
+        marginal_w_density(w, s)
+    with pytest.raises(DomainError):
+        marginal_w_density(np.array([0.5, w]), s)
+
+
+def test_marginal_nan_integrand_is_numeric_error(monkeypatch):
+    monkeypatch.setattr(approx, "_log_joint", lambda u, w, s, log_k0: np.full(np.shape(u * w), np.nan))
+    s = RatioSetting(3, 2, 50, 50)
+    with pytest.raises(NumericError) as info:
+        marginal_w_density(0.5, s)
+    assert info.value.diagnostics["setting"] == str(s)
 
 
 @pytest.mark.parametrize("setting", CERTIFICATE_SETTINGS)

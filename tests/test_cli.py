@@ -67,6 +67,28 @@ def test_numeric_failure_exits_4_with_diagnostics(tmp_path, monkeypatch, capsys)
     assert "w=0.5" in err
 
 
+def test_certify_bounds_numeric_failure_exits_4_with_diagnostics(tmp_path, monkeypatch, capsys):
+    from ewdist import approx
+
+    monkeypatch.setattr(
+        approx, "_log_joint", lambda u, w, s, log_k0: np.full(np.shape(u * w), np.nan)
+    )
+    code = run_cli(
+        ["certify-bounds", "--m1", 3, "--m2", 2, "--nu1", 50, "--nu2", 50,
+         "--out", tmp_path / "cert.json"]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "numeric failure" in err
+    for key in ("setting", "step", "tail_bound", "w"):
+        assert f"ew:   {key}=" in err
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    code = "import sys, ewdist.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_gof_table_default_grid_and_json_schema(tmp_path):
     out = tmp_path / "gof.json"
     code = run_cli(
