@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .rng import derive_seed, sample_chunks
-from .specfun import ln_beta, reg_inc_beta
+from .specfun import _validate_open_unit, _validate_positive, ln_beta, reg_inc_beta
 
 __all__ = [
     "FParams",
@@ -31,10 +31,7 @@ __all__ = [
 
 
 def _positive(name, value) -> float:
-    v = float(value)
-    if not np.isfinite(v) or v <= 0.0:
-        raise DomainError(f"{name} must be strictly positive and finite, got {value!r}")
-    return v
+    return float(_validate_positive(name, value))
 
 
 @dataclass(frozen=True)
@@ -88,9 +85,7 @@ class MvtParams:
 
 def f_pdf(y, p: FParams):
     """F density at y > 0, evaluated in log space."""
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("f_pdf requires y > 0")
+    arr = _validate_positive("y", y)
     m, nu = p.m, p.nu
     logpdf = (
         0.5 * m * np.log(m / nu)
@@ -128,9 +123,7 @@ def f_sample(p: FParams, n: int, seed: int) -> np.ndarray:
 
 def beta_pdf(x, s: BetaShape):
     """Beta density on (0, 1), log-space evaluation."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("beta_pdf requires 0 < x < 1")
+    arr = _validate_open_unit("x", x)
     logpdf = (
         (s.alpha - 1.0) * np.log(arr)
         + (s.beta - 1.0) * np.log1p(-arr)

@@ -6,13 +6,18 @@ LU accumulating log magnitude and sign) so enumerating many subsets
 neither overflows nor loses precision.  When the subset size equals the
 column count the weights over all subsets sum to 1 (Cauchy-Binet); for
 larger subsets of size k they sum to C(l - c, k - c).
+
+Every weight goes through `_weights`: one stacked matmul and slogdet per
+chunk of 2**15 subsets (the chunk bounds the stacked arrays), which give
+the same bits as per-subset 2-D calls; weights are formed with `math.exp`,
+as `np.exp` differs from it by one ulp on about 5% of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -30,10 +35,12 @@ __all__ = [
     "subset_by_rank",
     "expected_weight_sum",
     "simulate_weight_distribution",
+    "simulated_design",
     "load_design_csv",
 ]
 
 ENUMERATION_CAP = 1_000_000
+_SUBSET_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,28 @@ def enumerate_elemental(l: int, p: int):
     return [tuple(c) for c in combinations(range(1, int(l) + 1), int(p) + 1)]
 
 
-def _log_gram_det(rows: np.ndarray):
-    sign, logdet = np.linalg.slogdet(rows.T @ rows)
-    return sign, logdet
+def _weights(arr: np.ndarray, subsets) -> list:
+    """Weights of equal-size 0-based row subsets of a validated matrix, in order."""
+    log_full = float(np.linalg.slogdet(arr.T @ arr)[1])
+    out = []
+    it = iter(subsets)
+    while chunk := list(islice(it, _SUBSET_CHUNK)):
+        rows = arr[np.array(chunk)]
+        sign, log_e = np.linalg.slogdet(np.swapaxes(rows, -1, -2) @ rows)
+        out += [math.exp(le - log_full) if sg > 0 else 0.0
+                for sg, le in zip(sign.tolist(), log_e.tolist())]
+    return out
+
+
+def _subsets(l: int, k: int, cap: int):
+    """0-based k-subsets of range(l) in lexicographic order, at most `cap` of them."""
+    count = math.comb(l, k)
+    if count > cap:
+        raise SizeError(
+            f"C({l},{k}) = {count} subsets exceeds the cap {cap}; "
+            "use sampled-sets mode instead"
+        )
+    return combinations(range(l), k)
 
 
 def weight_of_set(x, e) -> float:
@@ -89,12 +115,7 @@ def weight_of_set(x, e) -> float:
         raise DomainError(
             f"subset of size {len(idx)} cannot span {arr.shape[1]} columns"
         )
-    sign_full, log_full = _log_gram_det(arr)
-    rows = arr[np.array(idx) - 1]
-    sign_e, log_e = _log_gram_det(rows)
-    if sign_e <= 0:
-        return 0.0
-    return float(math.exp(log_e - log_full))
+    return _weights(arr, [tuple(i - 1 for i in idx)])[0]
 
 
 def all_weights(x, set_size: int | None = None, cap: int = ENUMERATION_CAP):
@@ -107,19 +128,9 @@ def all_weights(x, set_size: int | None = None, cap: int = ENUMERATION_CAP):
     k = c if set_size is None else int(set_size)
     if k < c or k > l:
         raise DomainError(f"set size must lie in [{c}, {l}], got {k}")
-    count = math.comb(l, k)
-    if count > cap:
-        raise SizeError(
-            f"C({l},{k}) = {count} subsets exceeds the cap {cap}; "
-            "use sampled-sets mode instead"
-        )
-    sign_full, log_full = _log_gram_det(arr)
-    out = []
-    for combo in combinations(range(l), k):
-        sign_e, log_e = _log_gram_det(arr[list(combo)])
-        w = float(math.exp(log_e - log_full)) if sign_e > 0 else 0.0
-        out.append(ElementalWeight(tuple(i + 1 for i in combo), w))
-    return out
+    weights = _weights(arr, _subsets(l, k, cap))
+    return [ElementalWeight(tuple(i + 1 for i in combo), w)
+            for combo, w in zip(combinations(range(l), k), weights)]
 
 
 def expected_weight_sum(l: int, cols: int, set_size: int) -> float:
@@ -137,21 +148,15 @@ def chain_ratios(x, e) -> np.ndarray:
     arr = as_design_matrix(x)
     idx = _check_subset(e, arr.shape[0])
     base = arr[np.array(idx) - 1]
-    m = base.T @ base
-    sign, log_prev = np.linalg.slogdet(m)
-    if sign <= 0:
+    rest = np.delete(arr, np.array(idx) - 1, axis=0)
+    # M_0 = X_E'X_E and M_i = M_{i-1} + x_i x_i': cumsum adds the terms in row order
+    terms = np.concatenate([(base.T @ base)[None], rest[:, :, None] * rest[:, None, :]])
+    sign, logdet = np.linalg.slogdet(np.cumsum(terms, axis=0))
+    if sign[0] <= 0:
         raise RankError(f"base subset {idx} gives a singular Gram matrix")
-    rest = [i for i in range(1, arr.shape[0] + 1) if i not in set(idx)]
-    ratios = []
-    for i in rest:
-        row = arr[i - 1]
-        m = m + np.outer(row, row)
-        sign, log_new = np.linalg.slogdet(m)
-        if sign <= 0:
-            raise RankError("rank-one update produced a non-positive determinant")
-        ratios.append(math.exp(log_prev - log_new))
-        log_prev = log_new
-    return np.array(ratios)
+    if np.any(sign[1:] <= 0):
+        raise RankError("rank-one update produced a non-positive determinant")
+    return np.exp(logdet[:-1] - logdet[1:])
 
 
 def subset_by_rank(l: int, k: int, rank: int) -> tuple:
@@ -169,6 +174,18 @@ def subset_by_rank(l: int, k: int, rank: int) -> tuple:
                 break
             rank -= block
     return tuple(out)
+
+
+def simulated_design(p: MvtParams, l: int, seed: int, index: int, intercept: bool = False):
+    """Validated design matrix `index` of `simulate_weight_distribution`.
+
+    Its rows are t draws from the stream derive_seed(seed, 2 * index); an intercept
+    prepends a column of ones.
+    """
+    x = mvt_sample_rows(p, l, derive_seed(seed, 2 * index))
+    if intercept:
+        x = np.column_stack([np.ones(l), x])
+    return as_design_matrix(x)
 
 
 def simulate_weight_distribution(
@@ -191,19 +208,18 @@ def simulate_weight_distribution(
     if l < p.dim + 1:
         raise DomainError(f"need l >= dim+1 rows, got l={l}, dim={p.dim}")
     k = p.dim + 1
+    subsets = list(_subsets(l, k, ENUMERATION_CAP)) if mode == "all" else None
     out = []
     for j in range(int(n_matrices)):
-        x = mvt_sample_rows(p, l, derive_seed(seed, 2 * j))
-        if intercept:
-            x = np.column_stack([np.ones(l), x])
+        arr = simulated_design(p, l, seed, j, intercept)
         if mode == "all":
-            out.extend(ew.weight for ew in all_weights(x, set_size=k))
+            out.extend(_weights(arr, subsets))
         else:
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(entropy=[derive_seed(seed, 2 * j + 1)]))
             )
             rank = int(rng.integers(0, math.comb(l, k)))
-            out.append(weight_of_set(x, subset_by_rank(l, k, rank)))
+            out.extend(_weights(arr, [tuple(i - 1 for i in subset_by_rank(l, k, rank))]))
     return np.array(out)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import approx, elemental, goftests, product
-from .dist import MvtParams, beta_cdf, beta_sample, mvt_sample_rows, w_sample
+from .dist import MvtParams, beta_cdf, beta_sample, w_sample
 from .errors import DomainError, RegimeError
 from .rng import derive_seed
 
@@ -150,10 +150,8 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
     )
     rows = [(int(i), float(wt)) for i, wt in enumerate(weights)]
 
-    # weight-sum check on the first generated matrix (same stream as above)
-    first = mvt_sample_rows(params, int(l), derive_seed(seed, 0))
-    if intercept:
-        first = np.column_stack([np.ones(int(l)), first])
+    # weight-sum check on the first generated matrix
+    first = elemental.simulated_design(params, int(l), seed, 0, intercept)
     cols = first.shape[1]
     k = int(rho) + 1
     cb_sum = float(sum(ew.weight for ew in elemental.all_weights(first, set_size=k)))

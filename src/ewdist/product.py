@@ -23,7 +23,7 @@ from .approx import approx_shape
 from .dist import beta_pdf, beta_cdf
 from .errors import DomainError, NumericError
 from .rng import sample_chunks
-from .specfun import ln_beta, reg_inc_beta
+from .specfun import _validate_open_unit, ln_beta, reg_inc_beta
 
 __all__ = [
     "ProductSpec",
@@ -137,10 +137,7 @@ def _pdf_z(z, rho: int, n2: int, nodes: int):
 
 
 def _check_grid(grid) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("evaluation points must lie strictly inside (0, 1)")
-    return arr
+    return np.atleast_1d(_validate_open_unit("evaluation points", grid))
 
 
 def omega_pdf_numeric(spec: ProductSpec, grid, nodes: int = DEFAULT_GRID_NODES):

@@ -13,6 +13,7 @@ from ewdist.elemental import (
     expected_weight_sum,
     load_design_csv,
     simulate_weight_distribution,
+    simulated_design,
     subset_by_rank,
     weight_of_set,
 )
@@ -59,7 +60,7 @@ def test_weight_against_cofactor_oracle(rng):
     x = random_full_rank(rng, 4, 2)
     sub = x[[0, 1]]
     expected = cofactor_det(sub) ** 2 / cofactor_det(x.T @ x)
-    assert weight_of_set(x, (1, 2)) == pytest.approx(expected, rel=1e-10)
+    assert weight_of_set(x, (1, 2)) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_all_weights_cauchy_binet(rng):
@@ -77,7 +78,7 @@ def test_all_weights_duplicate_row_symmetry(rng):
     by_set = {w.indices: w.weight for w in all_weights(x)}
     for s, wt in by_set.items():
         swapped = tuple(sorted(4 if i == 2 else 2 if i == 4 else i for i in s))
-        assert by_set[swapped] == pytest.approx(wt, rel=1e-12)
+        assert by_set[swapped] == pytest.approx(wt, rel=1e-12, abs=0.0)
 
 
 def test_all_weights_larger_set_size_sum(rng):
@@ -95,13 +96,100 @@ def test_all_weights_cap():
         all_weights(x, cap=1000)
 
 
+def reference_weight(x, subset):
+    """Per-subset 2-D slogdet with math.exp: the computation the kernel must reproduce."""
+    rows = x[[i - 1 for i in subset]]
+    sign, log_e = np.linalg.slogdet(rows.T @ rows)
+    _, log_full = np.linalg.slogdet(x.T @ x)
+    return math.exp(log_e - log_full) if sign > 0 else 0.0
+
+
+def _intercept_matrix(rng):
+    return np.column_stack([np.ones(9), rng.standard_t(5, size=(9, 2))])
+
+
+def _duplicate_row_matrix(rng):
+    # small integers keep the LU of a singular Gram matrix exact, so its sign is 0
+    while True:
+        x = rng.integers(-3, 4, size=(7, 3)).astype(float)
+        x[3] = x[1]
+        if np.linalg.matrix_rank(x) == 3:
+            return x
+
+
+@pytest.mark.parametrize(
+    "make, set_size",
+    [
+        (lambda rng: random_full_rank(rng, 7, 3), None),
+        (lambda rng: random_full_rank(rng, 40, 3), None),
+        (_intercept_matrix, None),
+        (_duplicate_row_matrix, None),
+        (lambda rng: random_full_rank(rng, 8, 2), 4),
+    ],
+    ids=["7x3", "40x3", "intercept", "duplicate-row", "8x2-size4"],
+)
+def test_weights_equal_per_subset_reference_bitwise(rng, make, set_size):
+    x = make(rng)
+    ws = all_weights(x, set_size=set_size)
+    assert len(ws) == math.comb(x.shape[0], set_size or x.shape[1])
+    for ew in ws:
+        assert ew.weight == reference_weight(x, ew.indices)
+    for ew in ws[:: max(1, len(ws) // 50)]:
+        assert weight_of_set(x, ew.indices) == ew.weight
+    if make is _duplicate_row_matrix:
+        assert any(ew.weight == 0.0 for ew in ws if {2, 4} <= set(ew.indices))
+
+
+def test_simulate_all_mode_first_matrix_equals_all_weights():
+    p = MvtParams(2, 50.0, np.eye(2))
+    for intercept in (False, True):
+        w = simulate_weight_distribution(p, 7, 3, 23, mode="all", intercept=intercept)
+        first = all_weights(simulated_design(p, 7, 23, 0, intercept), set_size=3)
+        assert w.size == 3 * len(first)
+        assert list(w[: len(first)]) == [ew.weight for ew in first]
+
+
+def test_simulate_sampled_mode_uses_the_simulated_designs():
+    p = MvtParams(2, 5.0, np.eye(2))
+    w = simulate_weight_distribution(p, 9, 6, 31)
+    for j, wj in enumerate(w):
+        x = simulated_design(p, 9, 31, j)
+        assert wj in {ew.weight for ew in all_weights(x, set_size=3)}
+
+
+def test_simulated_design_stream_layout():
+    # matrix j draws its rows from derive_seed(seed, 2 * j); 2 * j + 1 picks its sampled subset
+    from ewdist.dist import mvt_sample_rows
+    from ewdist.rng import derive_seed
+
+    p = MvtParams(2, 5.0, np.eye(2))
+    for j in (0, 3):
+        rows = mvt_sample_rows(p, 8, derive_seed(41, 2 * j))
+        assert np.array_equal(simulated_design(p, 8, 41, j), rows)
+        with_intercept = simulated_design(p, 8, 41, j, intercept=True)
+        assert np.array_equal(with_intercept, np.column_stack([np.ones(8), rows]))
+
+
+def test_simulate_all_mode_over_cap_raises():
+    p = MvtParams(2, 50.0, np.eye(2))
+    with pytest.raises(SizeError):
+        simulate_weight_distribution(p, 200, 1, 0, mode="all")
+
+
+def test_chain_singular_base_subset_raises(rng):
+    x = random_full_rank(rng, 6, 2)
+    x[1] = 2.0 * x[0]  # rows 1 and 2 are collinear
+    with pytest.raises(RankError):
+        chain_ratios(x, (1, 2))
+
+
 def test_chain_telescopes_to_weight(rng):
     x = random_full_rank(rng, 6, 3)
     for sub in [(1, 2, 3), (2, 4, 6), (1, 2, 3, 5)]:
         ratios = chain_ratios(x, sub)
         assert len(ratios) == 6 - len(sub)
         assert np.all((ratios > 0) & (ratios <= 1.0))
-        assert np.prod(ratios) == pytest.approx(weight_of_set(x, sub), rel=1e-10)
+        assert np.prod(ratios) == pytest.approx(weight_of_set(x, sub), rel=1e-10, abs=0.0)
 
 
 def test_chain_matches_matrix_determinant_lemma(rng):
@@ -115,7 +203,23 @@ def test_chain_matches_matrix_determinant_lemma(rng):
         row = x[i - 1]
         expected.append(1.0 / (1.0 + row @ np.linalg.solve(m, row)))
         m = m + np.outer(row, row)
-    assert np.allclose(ratios, expected, rtol=1e-10)
+    assert np.allclose(ratios, expected, rtol=1e-10, atol=0.0)
+
+
+def test_chain_matches_sequential_update_loop(rng):
+    # the loop chain_ratios replaced: the same additions, one 2-D slogdet per step
+    x = random_full_rank(rng, 12, 3)
+    sub = (2, 5, 9)
+    m = x[[1, 4, 8]].T @ x[[1, 4, 8]]
+    log_prev = np.linalg.slogdet(m)[1]
+    expected = []
+    for i in sorted(set(range(1, 13)) - set(sub)):
+        m = m + np.outer(x[i - 1], x[i - 1])
+        log_new = np.linalg.slogdet(m)[1]
+        expected.append(math.exp(log_prev - log_new))
+        log_prev = log_new
+    # only the final exp differs (np.exp vs math.exp): allow two ulp
+    np.testing.assert_allclose(chain_ratios(x, sub), expected, rtol=4.5e-16, atol=0.0)
 
 
 def test_chain_zero_row_contributes_unit_ratio(rng):
@@ -132,7 +236,7 @@ def test_column_scaling_invariance(rng):
     ws2 = all_weights(x @ d)
     for w1, w2 in zip(ws1, ws2):
         assert w1.indices == w2.indices
-        assert w2.weight == pytest.approx(w1.weight, rel=1e-10)
+        assert w2.weight == pytest.approx(w1.weight, rel=1e-10, abs=0.0)
 
 
 def test_row_permutation_equivariance(rng):
@@ -140,7 +244,7 @@ def test_row_permutation_equivariance(rng):
     perm = np.array([3, 0, 4, 1, 2])
     ws = sorted(w.weight for w in all_weights(x))
     ws_p = sorted(w.weight for w in all_weights(x[perm]))
-    assert np.allclose(ws, ws_p, rtol=1e-10)
+    assert np.allclose(ws, ws_p, rtol=1e-10, atol=0.0)
 
 
 def test_subset_by_rank_matches_lexicographic():
@@ -173,13 +277,8 @@ def test_simulate_all_mode_counts():
 
 def test_simulate_intercept_weights_sum_to_one():
     # with an intercept the subset size equals the column count
-    from ewdist.dist import mvt_sample_rows
-    from ewdist.rng import derive_seed
-
     p = MvtParams(2, 50.0, np.eye(2))
-    seed = 19
-    x = mvt_sample_rows(p, 6, derive_seed(seed, 0))
-    x = np.column_stack([np.ones(6), x])
+    x = simulated_design(p, 6, 19, 0, intercept=True)
     ws = all_weights(x, set_size=3)
     assert sum(w.weight for w in ws) == pytest.approx(1.0, abs=1e-10)
 

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from ewdist.approx import (
+    RatioSetting,
+    joint_density,
+    u_envelope_lower_density,
+    u_envelope_upper_density,
+    w_envelope_density,
+)
+from ewdist.dist import BetaShape, beta_pdf
 from ewdist.errors import DomainError
+from ewdist.product import ProductSpec, omega_cdf_numeric
 from ewdist.specfun import ln_beta, ln_gamma, reg_inc_beta
 
 from conftest import beta_integral_quad
@@ -102,3 +111,25 @@ def test_reg_inc_beta_large_shapes_against_mpmath(x, a, b):
     with mp.workdps(40):
         ref = float(mp.betainc(a, b, 0, x, regularized=True))
     assert abs(reg_inc_beta(x, a, b) - ref) <= 1e-14
+
+
+_NAN = float("nan")
+_SETTING = RatioSetting(3.0, 2.0, 50.0, 50.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: w_envelope_density(_NAN, 3.0, 2.0),
+        lambda: u_envelope_upper_density(_NAN, _SETTING),
+        lambda: u_envelope_lower_density(_NAN, _SETTING),
+        lambda: joint_density(_NAN, 0.5, _SETTING),
+        lambda: joint_density(1.0, _NAN, _SETTING),
+        lambda: beta_pdf([0.5, _NAN], BetaShape(2.0, 3.0)),
+        lambda: omega_cdf_numeric(ProductSpec(2, 3), [0.5, _NAN]),
+    ],
+    ids=["w_envelope", "u_upper", "u_lower", "joint_u", "joint_w", "beta_pdf", "omega_cdf"],
+)
+def test_nan_argument_is_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
