@@ -9,6 +9,13 @@ pre-set any flag of the invoked command; explicit flags override it.
 Outputs are byte-identical for identical (flags, seed), whatever the
 number of worker threads.  On exit 4 the error's diagnostics follow the
 message on stderr as sorted key=value pairs.
+
+Tables are ordered {header: column} mappings.  CSV output formats each
+column once per block of rows: floats as their shortest round-trip repr,
+integers in decimal, booleans as true/false, strings as given.  No cell is
+ever quoted; a string cell that would need quoting (a comma, a double
+quote, CR or LF) raises ValueError instead.  Summary values follow the body
+as key,value rows.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from importlib import resources
 
@@ -29,6 +37,10 @@ from .rng import validate_seed
 __all__ = ["main", "build_parser"]
 
 
+_BLOCK_ROWS = 1 << 16
+_NEEDS_QUOTING = re.compile(r'[,"\r\n]')
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -39,14 +51,40 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows, footer=None):
+def _unquoted(cells):
+    """The cells as given; ValueError if one would need CSV quoting."""
+    for cell in cells:
+        if _NEEDS_QUOTING.search(cell):
+            raise ValueError(f"CSV cell {cell!r} would need quoting")
+    return cells
+
+
+def _column_cells(values) -> list:
+    """CSV text of one column block, the same text `_fmt` gives each cell."""
+    arr = np.asarray(values)
+    cells = arr.tolist()
+    kind = arr.dtype.kind
+    if kind == "f":
+        return list(map(repr, cells))
+    if kind in "iu":
+        return list(map(str, cells))
+    if kind == "b":
+        return ["true" if v else "false" for v in cells]
+    if kind == "U":
+        return _unquoted(cells)
+    raise TypeError(f"cannot write a column of dtype {arr.dtype} as CSV")
+
+
+def _write_csv(path, columns, footer=()):
+    """Header, then the body `_BLOCK_ROWS` rows at a time, each column formatted once."""
+    n_rows = len(next(iter(columns.values())))
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        for row in footer or []:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(_unquoted(list(columns))) + "\r\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            texts = [_column_cells(col[start:start + _BLOCK_ROWS]) for col in columns.values()]
+            fh.write("".join(",".join(cells) + "\r\n" for cells in zip(*texts, strict=True)))
+        for row in footer:
+            fh.write(",".join(_unquoted(list(map(_fmt, row)))) + "\r\n")
 
 
 def _write_json(path, payload):
@@ -63,27 +101,29 @@ def _json_cell(value):
     return float(value)
 
 
-def _table_payload(command, parameters, columns, rows, summary):
+def _table_payload(command, parameters, columns, summary):
     return {
         "command": command,
         "parameters": {k: _json_cell(v) for k, v in parameters.items()},
         "columns": list(columns),
-        "rows": [[_json_cell(v) for v in row] for row in rows],
-        "summary": {k: _json_cell(v) for k, v in (summary or {}).items()},
+        "rows": list(zip(*(np.asarray(col).tolist() for col in columns.values()), strict=True)),
+        "summary": {k: _json_cell(v) for k, v in summary.items()},
     }
 
 
-def _emit_table(args, command, columns, rows, summary=None):
+def _emit_table(args, command, columns, summary=None):
+    """Write an ordered {header: 1-D array or list} table and its summary."""
+    summary = summary or {}
     parameters = {
         k: v for k, v in vars(args).items()
         if k not in ("command", "func", "out", "format", "config", "gnuplot_script")
         and v is not None
     }
     if args.format == "json":
-        _write_json(args.out, _table_payload(command, parameters, columns, rows, summary))
+        _write_json(args.out, _table_payload(command, parameters, columns, summary))
     else:
-        footer = [(k, v) + ("",) * max(0, len(columns) - 2) for k, v in (summary or {}).items()]
-        _write_csv(args.out, columns, rows, footer)
+        pad = ("",) * max(0, len(columns) - 2)
+        _write_csv(args.out, columns, [(k, v) + pad for k, v in summary.items()])
 
 
 def _emit_gnuplot(path, out_csv, n_rows, title, ycols):
@@ -107,19 +147,18 @@ def _cmd_simulate_w(args):
     from .dist import w_sample
 
     sample = w_sample(args.m1, args.m2, args.nu, args.n, args.seed)
-    rows = [(i, float(v)) for i, v in enumerate(sample)]
-    _emit_table(args, "simulate-w", ("index", "w"), rows)
+    _emit_table(args, "simulate-w", {"index": np.arange(sample.size), "w": sample})
     return 0
 
 
 def _cmd_compare_cdf(args):
-    rows, summary = pipelines.compare_cdf_rows(
+    columns, summary = pipelines.compare_cdf_rows(
         args.m1, args.m2, args.nu, args.n, args.grid_points, args.seed
     )
-    _emit_table(args, "compare-cdf", ("w", "ecdf_w", "beta_cdf", "abs_gap"), rows, summary)
+    _emit_table(args, "compare-cdf", columns, summary)
     if args.gnuplot_script:
         _emit_gnuplot(
-            args.gnuplot_script, args.out, len(rows),
+            args.gnuplot_script, args.out, len(columns["w"]),
             f"W vs proposed Beta (m1={args.m1} m2={args.m2} nu={args.nu})",
             [(1, 2, "steps", "ECDF of W"), (1, 3, "lines", "proposed Beta CDF")],
         )
@@ -149,20 +188,19 @@ def _read_grid_file(path):
 def _cmd_gof_table(args):
     grid = _read_grid_file(args.grid) if args.grid else pipelines.DEFAULT_GOF_GRID
     rows = pipelines.gof_table_rows(grid, args.n, args.replications, args.seed)
-    columns = ("m1", "m2", "nu", "n", "rep", "ks", "ks_identical", "ad", "ad_identical")
-    _emit_table(args, "gof-table", columns, rows)
+    names = ("m1", "m2", "nu", "n", "rep", "ks", "ks_identical", "ad", "ad_identical")
+    _emit_table(args, "gof-table", {name: [r[i] for r in rows] for i, name in enumerate(names)})
     return 0
 
 
 def _cmd_omega(args):
-    rows, summary = pipelines.omega_rows(
+    columns, summary = pipelines.omega_rows(
         args.rho, args.n2, args.n, args.grid_points, args.seed
     )
-    _emit_table(args, "omega", ("row_type", "x", "analytic", "empirical"), rows, summary)
+    _emit_table(args, "omega", columns, summary)
     if args.gnuplot_script:
-        n_cdf = sum(1 for r in rows if r[0] == "cdf")
         _emit_gnuplot(
-            args.gnuplot_script, args.out, n_cdf,
+            args.gnuplot_script, args.out, columns["row_type"].count("cdf"),
             f"product law (rho={args.rho} n2={args.n2})",
             [(2, 3, "lines", "numeric CDF"), (2, 4, "steps", "Monte Carlo ECDF")],
         )
@@ -173,17 +211,17 @@ def _cmd_elemental(args):
     if args.matrix and args.generate:
         raise DomainError("pass either --matrix or --generate, not both")
     if args.matrix:
-        rows, summary = pipelines.elemental_matrix_rows(load_design_csv(args.matrix))
-        _emit_table(args, "elemental", ("set_indices", "weight"), rows, summary)
+        columns, summary = pipelines.elemental_matrix_rows(load_design_csv(args.matrix))
+        _emit_table(args, "elemental", columns, summary)
     elif args.generate:
         for name in ("rho", "nu", "l"):
             if getattr(args, name) is None:
                 raise DomainError(f"--generate requires --{name}")
-        rows, summary = pipelines.elemental_simulation_report(
+        columns, summary = pipelines.elemental_simulation_report(
             args.rho, args.nu, args.l, args.n_matrices, args.seed,
             mode=args.mode, intercept=args.intercept,
         )
-        _emit_table(args, "elemental", ("draw_index", "weight"), rows, summary)
+        _emit_table(args, "elemental", columns, summary)
     else:
         raise DomainError("elemental needs --matrix PATH or --generate")
     return 0

@@ -51,6 +51,11 @@ class ElementalWeight:
 
 def as_design_matrix(x) -> np.ndarray:
     """Validate an l x c design matrix: 2-D, finite, full column rank."""
+    return _validated(x)[0]
+
+
+def _validated(x):
+    """(arr, log|X'X|) of a valid design matrix, as `as_design_matrix` checks it."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise DomainError(f"design matrix must be 2-D, got shape {arr.shape}")
@@ -59,10 +64,10 @@ def as_design_matrix(x) -> np.ndarray:
         raise DomainError(f"need at least as many rows as columns, got {l}x{c}")
     if not np.all(np.isfinite(arr)):
         raise DomainError("design matrix contains non-finite entries")
-    sign, _ = np.linalg.slogdet(arr.T @ arr)
+    sign, log_full = np.linalg.slogdet(arr.T @ arr)
     if sign <= 0:
         raise RankError("design matrix is rank deficient (|X'X| <= 0)")
-    return arr
+    return arr, float(log_full)
 
 
 def _check_subset(e, l: int) -> tuple:
@@ -83,9 +88,11 @@ def enumerate_elemental(l: int, p: int):
     return [tuple(c) for c in combinations(range(1, int(l) + 1), int(p) + 1)]
 
 
-def _weights(arr: np.ndarray, subsets) -> list:
-    """Weights of equal-size 0-based row subsets of a validated matrix, in order."""
-    log_full = float(np.linalg.slogdet(arr.T @ arr)[1])
+def _weights(arr: np.ndarray, log_full: float, subsets) -> list:
+    """Weights of equal-size 0-based row subsets of a validated matrix, in order.
+
+    `log_full` is log|X'X| as `_validated` returns it.
+    """
     out = []
     it = iter(subsets)
     while chunk := list(islice(it, _SUBSET_CHUNK)):
@@ -109,13 +116,13 @@ def _subsets(l: int, k: int, cap: int):
 
 def weight_of_set(x, e) -> float:
     """Gram-determinant share |X_E'X_E| / |X'X| of the row subset e (1-based)."""
-    arr = as_design_matrix(x)
+    arr, log_full = _validated(x)
     idx = _check_subset(e, arr.shape[0])
     if len(idx) < arr.shape[1]:
         raise DomainError(
             f"subset of size {len(idx)} cannot span {arr.shape[1]} columns"
         )
-    return _weights(arr, [tuple(i - 1 for i in idx)])[0]
+    return _weights(arr, log_full, [tuple(i - 1 for i in idx)])[0]
 
 
 def all_weights(x, set_size: int | None = None, cap: int = ENUMERATION_CAP):
@@ -123,12 +130,12 @@ def all_weights(x, set_size: int | None = None, cap: int = ENUMERATION_CAP):
 
     With the default size the weights sum to 1 by Cauchy-Binet.
     """
-    arr = as_design_matrix(x)
+    arr, log_full = _validated(x)
     l, c = arr.shape
     k = c if set_size is None else int(set_size)
     if k < c or k > l:
         raise DomainError(f"set size must lie in [{c}, {l}], got {k}")
-    weights = _weights(arr, _subsets(l, k, cap))
+    weights = _weights(arr, log_full, _subsets(l, k, cap))
     return [ElementalWeight(tuple(i + 1 for i in combo), w)
             for combo, w in zip(combinations(range(l), k), weights)]
 
@@ -182,10 +189,14 @@ def simulated_design(p: MvtParams, l: int, seed: int, index: int, intercept: boo
     Its rows are t draws from the stream derive_seed(seed, 2 * index); an intercept
     prepends a column of ones.
     """
+    return as_design_matrix(_simulated_rows(p, l, seed, index, intercept))
+
+
+def _simulated_rows(p: MvtParams, l: int, seed: int, index: int, intercept: bool):
     x = mvt_sample_rows(p, l, derive_seed(seed, 2 * index))
     if intercept:
         x = np.column_stack([np.ones(l), x])
-    return as_design_matrix(x)
+    return x
 
 
 def simulate_weight_distribution(
@@ -211,15 +222,16 @@ def simulate_weight_distribution(
     subsets = list(_subsets(l, k, ENUMERATION_CAP)) if mode == "all" else None
     out = []
     for j in range(int(n_matrices)):
-        arr = simulated_design(p, l, seed, j, intercept)
+        arr, log_full = _validated(_simulated_rows(p, l, seed, j, intercept))
         if mode == "all":
-            out.extend(_weights(arr, subsets))
+            out.extend(_weights(arr, log_full, subsets))
         else:
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(entropy=[derive_seed(seed, 2 * j + 1)]))
             )
             rank = int(rng.integers(0, math.comb(l, k)))
-            out.extend(_weights(arr, [tuple(i - 1 for i in subset_by_rank(l, k, rank))]))
+            subset = tuple(i - 1 for i in subset_by_rank(l, k, rank))
+            out.extend(_weights(arr, log_full, [subset]))
     return np.array(out)
 
 

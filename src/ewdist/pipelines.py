@@ -1,8 +1,10 @@
 """Reproduction pipelines behind the CLI commands.
 
-Pure functions: they take parameters and a seed and return rows/summaries
-ready for serialization.  All replication loops derive child seeds by
-index, so each row depends only on its seed and parameters.
+Pure functions: they take parameters and a seed and return tables ready
+for serialization, as an ordered {header: 1-D array or list} mapping of
+columns plus a summary dict (`gof_table_rows` returns row tuples).  All
+replication loops derive child seeds by index, so each row depends only on
+its seed and parameters.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def w_beta_gap(m1, m2, nu, n, seed) -> float:
 
 
 def compare_cdf_rows(m1, m2, nu, n, grid_points, seed):
-    """Rows (w, ecdf_w, beta_cdf, abs_gap) on a uniform w grid, plus md."""
+    """Columns w, ecdf_w, beta_cdf, abs_gap on a uniform w grid, plus md."""
     _require_approx_regime(m1, m2, nu)
     if grid_points < 1:
         raise DomainError("grid_points must be positive")
@@ -75,11 +77,8 @@ def compare_cdf_rows(m1, m2, nu, n, grid_points, seed):
     bcdf = np.asarray(beta_cdf(grid, shape))
     ecdf_vals = goftests.ecdf_eval(emp, grid)
     gaps = np.abs(ecdf_vals - bcdf)
-    rows = [
-        (float(g), float(e), float(b), float(a))
-        for g, e, b, a in zip(grid, ecdf_vals, bcdf, gaps)
-    ]
-    return rows, {"md": float(gaps.max())}
+    columns = {"w": grid, "ecdf_w": ecdf_vals, "beta_cdf": bcdf, "abs_gap": gaps}
+    return columns, {"md": float(gaps.max())}
 
 
 def gof_table_rows(grid, n, replications, seed, alpha=0.01):
@@ -109,8 +108,9 @@ def gof_table_rows(grid, n, replications, seed, alpha=0.01):
 def omega_rows(rho, n2, n, grid_points, seed):
     """CDF comparison grid and moment table for the product law.
 
-    Grid rows: ("cdf", omega, numeric cdf, Monte Carlo ecdf).
-    Moment rows: ("moment", k, closed form, Monte Carlo mean of Omega^k).
+    Columns row_type, x, analytic, empirical.  Grid rows: ("cdf", omega,
+    numeric cdf, Monte Carlo ecdf), then moment rows: ("moment", k, closed
+    form, Monte Carlo mean of Omega^k) for k = 0..3.
     """
     spec = product.ProductSpec(rho, n2)
     draws = np.sort(product.omega_sample(spec, n, seed))
@@ -118,28 +118,31 @@ def omega_rows(rho, n2, n, grid_points, seed):
     grid = np.linspace(1e-8, 1.0 - 1e-8, grid_points)
     cdf_num = np.asarray(product.omega_cdf_numeric(spec, grid))
     ecdf_mc = goftests.ecdf_eval(emp, grid)
-    rows = [
-        ("cdf", float(g), float(c), float(e))
-        for g, c, e in zip(grid, cdf_num, ecdf_mc)
-    ]
-    for k in range(0, 4):
-        mc = float(np.mean(draws**k))
-        rows.append(("moment", float(k), product.omega_moment(spec, k), mc))
+    orders = range(4)
+    columns = {
+        "row_type": ["cdf"] * grid.size + ["moment"] * len(orders),
+        "x": np.concatenate([grid, np.array(orders, dtype=float)]),
+        "analytic": np.concatenate([cdf_num, [product.omega_moment(spec, k) for k in orders]]),
+        "empirical": np.concatenate([ecdf_mc, [float(np.mean(draws**k)) for k in orders]]),
+    }
     gap = goftests.ks_one_sample(draws, lambda x: product.omega_cdf_numeric(spec, x))
-    return rows, {"sup_gap_numeric_vs_mc": float(gap.statistic)}
+    return columns, {"sup_gap_numeric_vs_mc": float(gap.statistic)}
 
 
 def elemental_matrix_rows(matrix):
-    """Per-subset weights of a provided design matrix plus the weight sum."""
+    """Columns set_indices, weight of a provided design matrix plus the weight sum."""
     weights = elemental.all_weights(matrix)
-    rows = [(" ".join(str(i) for i in ew.indices), ew.weight) for ew in weights]
-    total = float(sum(ew.weight for ew in weights))
-    return rows, {"cauchy_binet_sum": total, "cauchy_binet_expected": 1.0}
+    columns = {
+        "set_indices": [" ".join(str(i) for i in ew.indices) for ew in weights],
+        "weight": [ew.weight for ew in weights],
+    }
+    total = float(sum(columns["weight"]))
+    return columns, {"cauchy_binet_sum": total, "cauchy_binet_expected": 1.0}
 
 
 def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets",
                                 intercept=False):
-    """Simulated weights under the t model plus product-law KS distances.
+    """Columns draw_index, weight of simulated t-model weights, plus product-law KS.
 
     The product-law comparison is reported for both factor-count
     conventions (l - rho and l - rho - 1); neither is asserted.
@@ -148,7 +151,6 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
     weights = elemental.simulate_weight_distribution(
         params, int(l), int(n_matrices), seed, mode=mode, intercept=intercept
     )
-    rows = [(int(i), float(wt)) for i, wt in enumerate(weights)]
 
     # weight-sum check on the first generated matrix
     first = elemental.simulated_design(params, int(l), seed, 0, intercept)
@@ -159,7 +161,7 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
     summary = {
         "cauchy_binet_sum_first_matrix": cb_sum,
         "cauchy_binet_expected": elemental.expected_weight_sum(int(l), cols, k),
-        "n_weights": len(rows),
+        "n_weights": weights.size,
     }
     eligible = weights[(weights > 0.0) & (weights < 1.0)]
     for n2 in (int(l) - int(rho), int(l) - int(rho) - 1):
@@ -172,4 +174,4 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
             summary[key] = float(res.statistic)
         else:
             summary[key] = None
-    return rows, summary
+    return {"draw_index": np.arange(weights.size), "weight": weights}, summary

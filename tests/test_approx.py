@@ -320,9 +320,9 @@ def test_certificate_requires_regime():
 def test_tv_bound_scaling_and_value():
     b200 = tv_bound(2, 50, 200)
     assert b200 > 0
-    assert tv_bound(2, 50, 400) == pytest.approx(0.5 * b200, rel=1e-14)
+    assert tv_bound(2, 50, 400) == pytest.approx(0.5 * b200, rel=1e-14, abs=0.0)
     a1_ref, _ = mp_constants(2.5, 2, 50, 50)
-    assert b200 == pytest.approx(a1_ref / 200.0, rel=1e-12)
+    assert b200 == pytest.approx(a1_ref / 200.0, rel=1e-12, abs=0.0)
 
 
 def test_approximating_cdf_is_continuous_proxy():

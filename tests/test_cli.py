@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -6,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ewdist.cli import main, schema_text
+from ewdist import cli, dist, pipelines
+from ewdist.cli import build_parser, main, schema_text
 
 
 def run_cli(args):
@@ -270,3 +273,151 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+# Reference table writers: the row-at-a-time `csv.writer` + per-cell format
+# and the per-cell JSON payload that the columnar writer must reproduce byte
+# for byte.
+def ref_fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def ref_json_cell(value):
+    if isinstance(value, (bool, str)) or value is None:
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(value)
+
+
+def ref_csv_bytes(header, rows, summary):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([ref_fmt(v) for v in row])
+    for k, v in (summary or {}).items():
+        writer.writerow([ref_fmt(c) for c in (k, v) + ("",) * max(0, len(header) - 2)])
+    return buf.getvalue().encode("ascii")
+
+
+def ref_json_bytes(argv, command, header, rows, summary):
+    args = build_parser()[0].parse_args(argv)
+    parameters = {
+        k: v for k, v in vars(args).items()
+        if k not in ("command", "func", "out", "format", "config", "gnuplot_script")
+        and v is not None
+    }
+    payload = {
+        "command": command,
+        "parameters": {k: ref_json_cell(v) for k, v in parameters.items()},
+        "columns": list(header),
+        "rows": [[ref_json_cell(v) for v in row] for row in rows],
+        "summary": {k: ref_json_cell(v) for k, v in (summary or {}).items()},
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    return (text + "\n").encode("ascii")
+
+
+def from_columns(header):
+    def rows_of(result):
+        columns, summary = result
+        return [tuple(r) for r in zip(*(columns[h] for h in header))], summary
+    return rows_of
+
+
+GOF_HEADER = ("m1", "m2", "nu", "n", "rep", "ks", "ks_identical", "ad", "ad_identical")
+GEN = ["elemental", "--generate", "--rho", 2, "--nu", 50, "--l", 7, "--seed", 13]
+
+# (argv, source of the table, header, table -> (rows, summary), block rows or None)
+TABLE_CASES = {
+    "simulate-w": (
+        ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 300, "--seed", 7],
+        (dist, "w_sample"), ("index", "w"),
+        lambda sample: ([(i, float(v)) for i, v in enumerate(sample)], None), None,
+    ),
+    "simulate-w-blocks": (
+        ["simulate-w", "--m1", 12, "--m2", 10, "--nu", 50, "--n", 1000, "--seed", 8],
+        (dist, "w_sample"), ("index", "w"),
+        lambda sample: ([(i, float(v)) for i, v in enumerate(sample)], None), 64,
+    ),
+    "compare-cdf": (
+        ["compare-cdf", "--m1", 12, "--m2", 10, "--nu", 50, "--n", 2000,
+         "--grid-points", 50, "--seed", 4],
+        (pipelines, "compare_cdf_rows"), ("w", "ecdf_w", "beta_cdf", "abs_gap"),
+        None, None,
+    ),
+    "omega": (
+        ["omega", "--rho", 2, "--n2", 3, "--n", 2000, "--grid-points", 30, "--seed", 5],
+        (pipelines, "omega_rows"), ("row_type", "x", "analytic", "empirical"), None, None,
+    ),
+    "gof-table": (
+        ["gof-table", "--n", 60, "--seed", 9],
+        (pipelines, "gof_table_rows"), GOF_HEADER, lambda rows: (rows, None), None,
+    ),
+    "gof-table-empty": (
+        ["gof-table", "--replications", 0, "--seed", 9],
+        (pipelines, "gof_table_rows"), GOF_HEADER, lambda rows: (rows, None), None,
+    ),
+    "elemental-matrix": (
+        ["elemental", "--matrix", "{matrix}"],
+        (pipelines, "elemental_matrix_rows"), ("set_indices", "weight"), None, None,
+    ),
+    "elemental-sampled": (
+        GEN + ["--n-matrices", 40, "--intercept"],
+        (pipelines, "elemental_simulation_report"), ("draw_index", "weight"), None, None,
+    ),
+    "elemental-all": (
+        GEN + ["--n-matrices", 3, "--mode", "all"],
+        (pipelines, "elemental_simulation_report"), ("draw_index", "weight"), None, None,
+    ),
+    "elemental-empty": (
+        GEN + ["--n-matrices", 0],
+        (pipelines, "elemental_simulation_report"), ("draw_index", "weight"), None, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_table_bytes_match_reference_writer(case, fmt, tmp_path, monkeypatch):
+    argv, (module, name), header, to_rows, block = TABLE_CASES[case]
+    to_rows = to_rows or from_columns(header)
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                                for row in np.random.default_rng(3).normal(size=(9, 3))))
+    out = tmp_path / f"out.{fmt}"
+    argv = [str(a).format(matrix=matrix) for a in argv] + ["--out", str(out), "--format", fmt]
+    captured = []
+    real = getattr(module, name)
+
+    def spy(*a, **k):
+        captured.append(real(*a, **k))
+        return captured[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    if block:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+
+    assert main(argv) == 0
+    assert len(captured) == 1
+    rows, summary = to_rows(captured[0])
+    if case.endswith("-empty"):
+        assert rows == []
+    if fmt == "csv":
+        expected = ref_csv_bytes(header, rows, summary)
+    else:
+        expected = ref_json_bytes(argv, argv[0], header, rows, summary)
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+def test_csv_writer_refuses_cells_that_need_quoting(char, tmp_path):
+    with pytest.raises(ValueError, match="quoting"):
+        cli._write_csv(tmp_path / "x.csv", {"a": ["1 2", f"3{char}4"], "b": [0.5, 0.25]})

@@ -8,12 +8,14 @@ from ewdist.errors import RegimeError
 
 
 def test_compare_cdf_row_count_and_recomputable_gap():
-    rows, summary = pipelines.compare_cdf_rows(1, 1, 50, 10_000, 100, seed=1)
-    assert len(rows) == 101
-    for w, e, b, gap in rows:
+    columns, summary = pipelines.compare_cdf_rows(1, 1, 50, 10_000, 100, seed=1)
+    assert list(columns) == ["w", "ecdf_w", "beta_cdf", "abs_gap"]
+    assert len(columns["w"]) == 101
+    for w, e, b, gap in zip(*columns.values(), strict=True):
         assert gap == pytest.approx(abs(e - b), abs=1e-15)
-    assert summary["md"] == pytest.approx(max(r[3] for r in rows))
-    assert rows[0][2] == 0.0 and rows[-1][2] == 1.0  # exact cdf endpoints
+    assert summary["md"] == pytest.approx(max(columns["abs_gap"]))
+    bcdf = columns["beta_cdf"]
+    assert bcdf[0] == 0.0 and bcdf[-1] == 1.0  # exact cdf endpoints
 
 
 def test_compare_cdf_requires_regime():
@@ -47,7 +49,9 @@ def test_figure_pairs_as_printed():
 
 
 def test_omega_rows_moments_and_tail():
-    rows, summary = pipelines.omega_rows(2, 3, n=20_000, grid_points=200, seed=2)
+    columns, summary = pipelines.omega_rows(2, 3, n=20_000, grid_points=200, seed=2)
+    assert list(columns) == ["row_type", "x", "analytic", "empirical"]
+    rows = list(zip(*columns.values(), strict=True))
     cdf_rows = [r for r in rows if r[0] == "cdf"]
     moment_rows = [r for r in rows if r[0] == "moment"]
     assert len(cdf_rows) == 200 and len(moment_rows) == 4
@@ -58,18 +62,20 @@ def test_omega_rows_moments_and_tail():
 
 def test_elemental_matrix_rows(rng):
     x = rng.normal(size=(5, 2))
-    rows, summary = pipelines.elemental_matrix_rows(x)
-    assert len(rows) == 10
+    columns, summary = pipelines.elemental_matrix_rows(x)
+    assert list(columns) == ["set_indices", "weight"]
+    assert len(columns["set_indices"]) == len(columns["weight"]) == 10
     assert summary["cauchy_binet_sum"] == pytest.approx(1.0, abs=1e-10)
-    assert rows[0][0] == "1 2"
+    assert columns["set_indices"][0] == "1 2"
 
 
 def test_elemental_simulation_report_minimal_rows():
-    rows, summary = pipelines.elemental_simulation_report(
+    columns, summary = pipelines.elemental_simulation_report(
         2, 50, 3, n_matrices=5, seed=4
     )
-    assert len(rows) == 5
-    assert all(w == pytest.approx(1.0, abs=1e-12) for _, w in rows)
+    assert list(columns) == ["draw_index", "weight"]
+    assert list(columns["draw_index"]) == [0, 1, 2, 3, 4]
+    assert all(w == pytest.approx(1.0, abs=1e-12) for w in columns["weight"])
     # one unit-size family: expected subset-sum is C(l-c, k-c) = C(1, 1)
     assert summary["cauchy_binet_expected"] == 1.0
     assert summary["ks_vs_product_n2_1"] is None  # all weights at the boundary
@@ -77,10 +83,10 @@ def test_elemental_simulation_report_minimal_rows():
 
 
 def test_elemental_simulation_report_ks_keys():
-    rows, summary = pipelines.elemental_simulation_report(
+    columns, summary = pipelines.elemental_simulation_report(
         2, 50, 7, n_matrices=60, seed=8
     )
-    assert len(rows) == 60
+    assert len(columns["draw_index"]) == len(columns["weight"]) == 60
     assert summary["cauchy_binet_sum_first_matrix"] == pytest.approx(
         summary["cauchy_binet_expected"], abs=1e-9
     )
