@@ -184,15 +184,11 @@ def subset_by_rank(l: int, k: int, rank: int) -> tuple:
 
 
 def simulated_design(p: MvtParams, l: int, seed: int, index: int, intercept: bool = False):
-    """Validated design matrix `index` of `simulate_weight_distribution`.
+    """Design matrix `index` of `simulate_weight_distribution`, not yet validated.
 
     Its rows are t draws from the stream derive_seed(seed, 2 * index); an intercept
-    prepends a column of ones.
+    prepends a column of ones.  The weight functions validate it.
     """
-    return as_design_matrix(_simulated_rows(p, l, seed, index, intercept))
-
-
-def _simulated_rows(p: MvtParams, l: int, seed: int, index: int, intercept: bool):
     x = mvt_sample_rows(p, l, derive_seed(seed, 2 * index))
     if intercept:
         x = np.column_stack([np.ones(l), x])
@@ -222,7 +218,7 @@ def simulate_weight_distribution(
     subsets = list(_subsets(l, k, ENUMERATION_CAP)) if mode == "all" else None
     out = []
     for j in range(int(n_matrices)):
-        arr, log_full = _validated(_simulated_rows(p, l, seed, j, intercept))
+        arr, log_full = _validated(simulated_design(p, l, seed, j, intercept))
         if mode == "all":
             out.extend(_weights(arr, log_full, subsets))
         else:

@@ -1,11 +1,15 @@
 """Empirical-distribution comparison: ECDF, KS, Anderson-Darling, ECDF L1 distance.
 
 One-sample KS evaluates both one-sided gaps exactly at the jump points.
-The two-sample Anderson-Darling statistic is the midrank (tie-tolerant)
-version, standardized as (A2 - mean)/sd so agreement gives values near or
-below zero.  Critical values use asymptotic Kolmogorov quantiles for KS
-and the standardized two-sample point for AD, at the fixed alpha grid
-{0.01, 0.05}.
+The two-sample tests are row-wise kernels: `ks_two_sample_rows` and
+`ad_two_sample_rows` test each row of a (R x n1) array against the same
+row of a (R x n2) array with one sort of the pooled rows, reading both
+ECDFs at the ends of tie groups; `ks_two_sample` and `ad_two_sample` are
+their one-row calls.  The two-sample Anderson-Darling statistic is the
+midrank (tie-tolerant) version, standardized as (A2 - mean)/sd so
+agreement gives values near or below zero.  Critical values use
+asymptotic Kolmogorov quantiles for KS and the standardized two-sample
+point for AD, at the fixed alpha grid {0.01, 0.05}.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ __all__ = [
     "ecdf_eval",
     "ks_one_sample",
     "ks_two_sample",
+    "ks_two_sample_rows",
     "ad_two_sample",
+    "ad_two_sample_rows",
     "tv_distance",
     "KS_CRITICAL",
     "AD_CRITICAL",
@@ -58,13 +64,25 @@ class GofResult:
     n2: int | None = None
 
 
-def _clean_sample(sample, name="sample") -> np.ndarray:
-    arr = np.asarray(sample, dtype=float).ravel()
-    if arr.size == 0:
+def _clean_rows(rows, name) -> np.ndarray:
+    """A (R x n) array of R nonempty, finite sample rows."""
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim != 2:
+        raise DomainError(f"{name} must be a 2-D array of sample rows, got shape {arr.shape}")
+    if arr.shape[1] == 0:
         raise DomainError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} contains non-finite values")
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise DomainError(f"{name} contains non-finite values (row {int(bad.argmax())})")
     return arr
+
+
+def _one_row(sample) -> np.ndarray:
+    return np.asarray(sample, dtype=float).reshape(1, -1)
+
+
+def _clean_sample(sample, name="sample") -> np.ndarray:
+    return _clean_rows(_one_row(sample), name)[0]
 
 
 def _critical(table: dict, alpha: float) -> float:
@@ -97,17 +115,56 @@ def ks_one_sample(sample, cdf, alpha: float = 0.01) -> GofResult:
     return GofResult(stat, n, alpha, float(crit), bool(stat < crit))
 
 
+def _pooled_rows(a, b):
+    """Sorted pooled rows of a (R x n1) and b (R x n2) as counts and tie-group ends.
+
+    Returns (n1, n2, from_a, upto, ends): from_a[r, j] and upto[j] count the
+    values of a and of the pool among the first j + 1 sorted values of row r,
+    and ends marks the last value of each group of equal values.  The
+    statistics read the counts only at group ends, so the order inside a
+    group does not matter and the sort need not be stable.
+    """
+    xa = _clean_rows(a, "a")
+    xb = _clean_rows(b, "b")
+    if xa.shape[0] != xb.shape[0]:
+        raise DomainError(f"a and b need as many rows, got {xa.shape[0]} and {xb.shape[0]}")
+    n1, n2 = xa.shape[1], xb.shape[1]
+    pooled = np.concatenate([xa, xb], axis=1)
+    order = np.argsort(pooled, axis=1)
+    z = np.take_along_axis(pooled, order, axis=1)
+    ends = np.ones(z.shape, dtype=bool)
+    ends[:, :-1] = z[:, 1:] != z[:, :-1]
+    from_a = np.cumsum(order < n1, axis=1)
+    return n1, n2, from_a, np.arange(1, n1 + n2 + 1), ends
+
+
+def _group_counts(counts, ends):
+    """Per tie group, at its end: the increase of `counts` over the group; 0 elsewhere."""
+    last = np.maximum.accumulate(np.where(ends, counts, 0), axis=1)
+    before = np.zeros(last.shape)
+    before[:, 1:] = last[:, :-1]
+    return np.where(ends, counts - before, 0.0)
+
+
+def _results(stats, crit, n1, n2, alpha) -> list:
+    return [GofResult(s, n1, alpha, crit, s < crit, n2=n2) for s in stats.tolist()]
+
+
+def ks_two_sample_rows(a, b, alpha: float = 0.01) -> list:
+    """Two-sample KS of each row of a (R x n1) against the same row of b (R x n2).
+
+    sup |ECDF_a - ECDF_b|, taken at the ends of the pooled row's tie groups.
+    """
+    crit = _critical(KS_CRITICAL, alpha)
+    n1, n2, from_a, upto, ends = _pooled_rows(a, b)
+    gap = np.abs(from_a / n1 - (upto - from_a) / n2)
+    stats = np.where(ends, gap, 0.0).max(axis=1)
+    return _results(stats, float(crit * np.sqrt((n1 + n2) / (n1 * n2))), n1, n2, alpha)
+
+
 def ks_two_sample(a, b, alpha: float = 0.01) -> GofResult:
     """sup |ECDF_a - ECDF_b| over the merged sample grid."""
-    xa = np.sort(_clean_sample(a, "a"))
-    xb = np.sort(_clean_sample(b, "b"))
-    grid = np.concatenate([xa, xb])
-    grid.sort(kind="mergesort")
-    fa = np.searchsorted(xa, grid, side="right") / xa.size
-    fb = np.searchsorted(xb, grid, side="right") / xb.size
-    stat = float(np.abs(fa - fb).max())
-    crit = _critical(KS_CRITICAL, alpha) * np.sqrt((xa.size + xb.size) / (xa.size * xb.size))
-    return GofResult(stat, xa.size, alpha, float(crit), bool(stat < crit), n2=xb.size)
+    return ks_two_sample_rows(_one_row(a), _one_row(b), alpha)[0]
 
 
 def _ad_variance(n_samples: int, sizes) -> float:
@@ -130,32 +187,34 @@ def _ad_variance(n_samples: int, sizes) -> float:
     )
 
 
+def ad_two_sample_rows(a, b, alpha: float = 0.01) -> list:
+    """Standardized two-sample Anderson-Darling of each row of a (R x n1) against b (R x n2).
+
+    Midrank form: each tie group of the pooled row enters once, at its end.
+    """
+    crit = _critical(AD_CRITICAL, alpha)
+    n1, n2, from_a, upto, ends = _pooled_rows(a, b)
+    n_total = n1 + n2
+    if n_total < 4:
+        raise DomainError(f"the AD variance needs at least 4 pooled values, got {n_total}")
+    if (ends.sum(axis=1) < 2).any():
+        raise DomainError("pooled sample needs at least 2 distinct values")
+    lj = _group_counts(upto, ends)  # tie-group sizes
+    f1 = _group_counts(from_a, ends)  # of which from a
+    b_mid = upto - lj / 2.0
+    denom = b_mid * (n_total - b_mid) - n_total * lj / 4.0
+    a2 = 0.0
+    for m_mid, ni in ((from_a - f1 / 2.0, n1), (upto - from_a - (lj - f1) / 2.0, n2)):
+        inner = lj / n_total * (n_total * m_mid - ni * b_mid) ** 2 / denom
+        a2 = a2 + inner.sum(axis=1) / ni
+    a2 *= (n_total - 1.0) / n_total
+    stats = (a2 - 1.0) / np.sqrt(_ad_variance(2, (n1, n2)))
+    return _results(stats, float(crit), n1, n2, alpha)
+
+
 def ad_two_sample(a, b, alpha: float = 0.01) -> GofResult:
     """Standardized two-sample Anderson-Darling statistic (midrank form)."""
-    xa = _clean_sample(a, "a")
-    xb = _clean_sample(b, "b")
-    n1, n2 = xa.size, xb.size
-    n_total = n1 + n2
-    pooled = np.sort(np.concatenate([xa, xb]))
-    z, counts = np.unique(pooled, return_counts=True)
-    if z.size < 2:
-        raise DomainError("pooled sample needs at least 2 distinct values")
-    f1 = np.searchsorted(np.sort(xa), z, side="right").astype(float)
-    f1 = np.diff(np.concatenate(([0.0], f1)))  # per-value counts in sample a
-    f2 = counts - f1
-    lj = counts.astype(float)
-    b_mid = np.cumsum(lj) - lj / 2.0
-    a2 = 0.0
-    for fi, ni in ((f1, n1), (f2, n2)):
-        m_mid = np.cumsum(fi) - fi / 2.0
-        denom = b_mid * (n_total - b_mid) - n_total * lj / 4.0
-        inner = lj / n_total * (n_total * m_mid - ni * b_mid) ** 2 / denom
-        a2 += inner.sum() / ni
-    a2 *= (n_total - 1.0) / n_total
-    var = _ad_variance(2, (n1, n2))
-    stat = float((a2 - 1.0) / np.sqrt(var))
-    crit = _critical(AD_CRITICAL, alpha)
-    return GofResult(stat, n1, alpha, float(crit), bool(stat < crit), n2=n2)
+    return ad_two_sample_rows(_one_row(a), _one_row(b), alpha)[0]
 
 
 def tv_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:

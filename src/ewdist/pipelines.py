@@ -4,7 +4,9 @@ Pure functions: they take parameters and a seed and return tables ready
 for serialization, as an ordered {header: 1-D array or list} mapping of
 columns plus a summary dict (`gof_table_rows` returns row tuples).  All
 replication loops derive child seeds by index, so each row depends only on
-its seed and parameters.
+its seed and parameters.  `gof_table_rows` builds each grid row's laws
+once, draws its replications into two (replications x n) arrays and tests
+them with one row-wise KS and one row-wise AD call.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import approx, elemental, goftests, product
-from .dist import MvtParams, beta_cdf, beta_sample, w_sample
+from .dist import FParams, MvtParams, _w_draws, beta_cdf, beta_sample, w_sample
 from .errors import DomainError, RegimeError
 from .rng import derive_seed
 
@@ -85,24 +87,36 @@ def gof_table_rows(grid, n, replications, seed, alpha=0.01):
     """One row per grid entry per replication, two-sample mode.
 
     Row: (m1, m2, nu, n, rep, ks, ks_identical, ad, ad_identical).
+    Replication rep of grid row i draws W from derive_seed(s, 0) and the
+    Beta sample from derive_seed(s, 1), s = derive_seed(derive_seed(seed, i), rep).
+    The replications of a grid row are tested in one KS and one AD call.
     """
     grid = [tuple(map(float, row)) for row in grid]
     for m1, m2, nu in grid:
         _require_approx_regime(m1, m2, nu)
+    replications = int(replications)
+    if replications < 0:
+        raise DomainError(f"replications must be nonnegative, got {replications}")
+    if replications == 0:
+        return []
 
-    def one(row_idx, rep):
-        m1, m2, nu = grid[row_idx]
-        rep_seed = derive_seed(derive_seed(seed, row_idx), rep)
-        w = w_sample(m1, m2, nu, n, derive_seed(rep_seed, 0))
-        ref = beta_sample(approx.approx_shape(m2), n, derive_seed(rep_seed, 1))
-        ks = goftests.ks_two_sample(w, ref, alpha=alpha)
-        ad = goftests.ad_two_sample(w, ref, alpha=alpha)
-        return (
-            m1, m2, nu, int(n), int(rep),
-            ks.statistic, ks.identical, ad.statistic, ad.identical,
-        )
-
-    return [one(i, r) for i in range(len(grid)) for r in range(int(replications))]
+    rows = []
+    for row_idx, (m1, m2, nu) in enumerate(grid):
+        p1, p2, shape = FParams(m1, nu), FParams(m2, nu), approx.approx_shape(m2)
+        row_seed = derive_seed(seed, row_idx)
+        w, ref = [], []
+        for rep in range(replications):
+            rep_seed = derive_seed(row_seed, rep)
+            w.append(_w_draws(p1, p2, n, derive_seed(rep_seed, 0)))
+            ref.append(beta_sample(shape, n, derive_seed(rep_seed, 1)))
+        w, ref = np.stack(w), np.stack(ref)
+        ks = goftests.ks_two_sample_rows(w, ref, alpha=alpha)
+        ad = goftests.ad_two_sample_rows(w, ref, alpha=alpha)
+        rows += [
+            (m1, m2, nu, int(n), rep, k.statistic, k.identical, a.statistic, a.identical)
+            for rep, (k, a) in enumerate(zip(ks, ad))
+        ]
+    return rows
 
 
 def omega_rows(rho, n2, n, grid_points, seed):

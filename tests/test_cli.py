@@ -1,19 +1,29 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import ewdist
 from ewdist import cli, dist, pipelines
 from ewdist.cli import build_parser, main, schema_text
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def run_python(args, **kwargs):
+    """A fresh interpreter that imports the ewdist under test, whatever PYTHONPATH says."""
+    path = [str(Path(ewdist.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
 
 
 def test_compare_cdf_file_contract(tmp_path):
@@ -89,7 +99,7 @@ def test_certify_bounds_numeric_failure_exits_4_with_diagnostics(tmp_path, monke
 
 def test_cli_import_leaves_scipy_integrate_out():
     code = "import sys, ewdist.cli; sys.exit('scipy.integrate' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert run_python(["-c", code]).returncode == 0
 
 
 def test_gof_table_default_grid_and_json_schema(tmp_path):
@@ -119,6 +129,17 @@ def test_gof_table_grid_file_and_malformed_line(tmp_path, capsys):
     bad.write_text("m1,m2,nu\n3,2,50\noops,2,50\n")
     assert run_cli(["gof-table", "--grid", bad, "--out", tmp_path / "y.csv"]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", 1], "at least 4 pooled values"),
+    (["--replications", -3], "nonnegative"),
+])
+def test_gof_table_bad_sizes_exit_2(tmp_path, capsys, args, message):
+    out = tmp_path / "g.csv"
+    assert run_cli(["gof-table", *args, "--seed", 1, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_omega_command_rows(tmp_path):
@@ -266,8 +287,8 @@ def test_negative_seed_exits_2(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "ewdist.cli", "simulate-w", "--m1", "3", "--m2", "2",
+    proc = run_python(
+        ["-m", "ewdist.cli", "simulate-w", "--m1", "3", "--m2", "2",
          "--nu", "50", "--n", "10", "--seed", "1", "--out", str(out)],
         capture_output=True,
     )

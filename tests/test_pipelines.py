@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ewdist import pipelines
-from ewdist.errors import RegimeError
+from ewdist import approx, pipelines
+from ewdist.dist import beta_sample, w_sample
+from ewdist.errors import DomainError, RegimeError
+from ewdist.goftests import AD_CRITICAL, KS_CRITICAL, _ad_variance
+from ewdist.rng import derive_seed
 
 
 def test_compare_cdf_row_count_and_recomputable_gap():
@@ -41,6 +44,68 @@ def test_gof_table_rows_shape_and_determinism():
         assert n == 100 and 0 <= rep < 3
         assert 0.0 <= ks <= 1.0
         assert isinstance(ks_id, bool) and isinstance(ad_id, bool)
+
+
+def _reference_ks(a, b):
+    """Two-sample KS by searchsorted on the merged sample (the per-replication form)."""
+    xa, xb = np.sort(a), np.sort(b)
+    grid = np.sort(np.concatenate([xa, xb]), kind="mergesort")
+    fa = np.searchsorted(xa, grid, side="right") / xa.size
+    fb = np.searchsorted(xb, grid, side="right") / xb.size
+    return float(np.abs(fa - fb).max())
+
+
+def _reference_ad(a, b):
+    """Standardized midrank two-sample AD over np.unique of the pool."""
+    n1, n2 = a.size, b.size
+    n_total = n1 + n2
+    z, counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    f1 = np.searchsorted(np.sort(a), z, side="right").astype(float)
+    f1 = np.diff(np.concatenate(([0.0], f1)))
+    f2 = counts - f1
+    lj = counts.astype(float)
+    b_mid = np.cumsum(lj) - lj / 2.0
+    a2 = 0.0
+    for fi, ni in ((f1, n1), (f2, n2)):
+        m_mid = np.cumsum(fi) - fi / 2.0
+        denom = b_mid * (n_total - b_mid) - n_total * lj / 4.0
+        inner = lj / n_total * (n_total * m_mid - ni * b_mid) ** 2 / denom
+        a2 += inner.sum() / ni
+    a2 *= (n_total - 1.0) / n_total
+    return float((a2 - 1.0) / np.sqrt(_ad_variance(2, (n1, n2))))
+
+
+def _reference_gof_rows(grid, n, replications, seed, alpha=0.01):
+    rows = []
+    for row_idx, (m1, m2, nu) in enumerate(grid):
+        for rep in range(replications):
+            rep_seed = derive_seed(derive_seed(seed, row_idx), rep)
+            w = w_sample(m1, m2, nu, n, derive_seed(rep_seed, 0))
+            ref = beta_sample(approx.approx_shape(m2), n, derive_seed(rep_seed, 1))
+            ks, ad = _reference_ks(w, ref), _reference_ad(w, ref)
+            ks_crit = float(KS_CRITICAL[alpha] * np.sqrt((n + n) / (n * n)))
+            rows.append((float(m1), float(m2), float(nu), n, rep,
+                         ks, ks < ks_crit, ad, ad < AD_CRITICAL[alpha]))
+    return rows
+
+
+@pytest.mark.parametrize("n", [7, 200])
+@pytest.mark.parametrize("seed", [12345, 7, 2**64 - 1])
+def test_gof_table_rows_match_per_replication_reference(n, seed):
+    grid = [(3, 2, 50), (20, 5, 150), (40, 25, 50)]
+    rows = pipelines.gof_table_rows(grid, n=n, replications=15, seed=seed)
+    expected = _reference_gof_rows(grid, n, 15, seed)
+    typed = lambda table: [tuple((type(v), v) for v in row) for row in table]
+    assert typed(rows) == typed(expected)
+
+
+def test_gof_table_rows_replication_count():
+    grid = [(3, 2, 50)]
+    assert pipelines.gof_table_rows(grid, n=-5, replications=0, seed=1) == []
+    with pytest.raises(DomainError, match="nonnegative"):
+        pipelines.gof_table_rows(grid, n=50, replications=-3, seed=1)
+    with pytest.raises(DomainError, match="at least 4"):
+        pipelines.gof_table_rows(grid, n=1, replications=2, seed=1)
 
 
 def test_figure_pairs_as_printed():
