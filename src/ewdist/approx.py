@@ -32,11 +32,10 @@ from scipy.special import betainccinv, expit
 
 from .dist import BetaShape, _positive
 from .errors import DomainError, NumericError, RegimeError
-from .specfun import _validate_open_unit, _validate_positive, ln_beta
+from .specfun import _validate_count, _validate_open_unit, _validate_positive, ln_beta
 
 __all__ = [
     "RatioSetting",
-    "BoundConstants",
     "approx_shape",
     "w_envelope_density",
     "u_envelope_upper_density",
@@ -44,7 +43,6 @@ __all__ = [
     "joint_density",
     "upper_constant",
     "lower_constant",
-    "bound_constants",
     "marginal_w_density",
     "joint_total_mass",
     "tv_bound",
@@ -62,6 +60,10 @@ _MODE_BISECTIONS = 50
 _END_NEWTON_STEPS = 6
 _MAX_NODES = 2**14      # t nodes per column
 _MAX_LOGIT = 512.0      # half-width of the logit range of the joint mass
+
+# `certify_bounds` tolerance and report length
+_SLACK = 1e-9           # relative tolerance before a ratio counts as a violation
+_MAX_VIOLATIONS = 20    # violating grid points listed per side
 
 # canonical settings exercised by the certificate suite
 CERTIFICATE_SETTINGS = (
@@ -99,31 +101,12 @@ class RatioSetting:
             bad.append("nu2 > m1")
         return bad
 
-    def in_bound_regime(self) -> bool:
-        return not self.bound_regime_violations()
-
     def require_bound_regime(self):
         bad = self.bound_regime_violations()
         if bad:
             raise RegimeError(
                 f"setting {self} violates the bound regime: {', '.join(bad)}"
             )
-
-    def in_approx_regime(self) -> bool:
-        """Shared denominator df with nu > m1 >= m2 (approximation regime)."""
-        return self.nu1 == self.nu2 and self.nu1 > self.m1 >= self.m2
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Scale constants of the upper/lower envelope products."""
-
-    a1: float
-    a2: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a1) and np.isfinite(self.a2)):
-            raise DomainError("bound constants must be finite")
 
 
 def approx_shape(m2) -> BetaShape:
@@ -253,28 +236,16 @@ def _log_lower_constant(s: RatioSetting):
     )
 
 
-def upper_constant(s: RatioSetting, check_regime: bool = True) -> float:
+def upper_constant(s: RatioSetting) -> float:
     """Closed-form constant scaling the upper envelope product."""
-    if check_regime:
-        s.require_bound_regime()
-    else:
-        _require_upper_args(s)
+    s.require_bound_regime()
     return math.exp(_log_upper_constant(s))
 
 
-def lower_constant(s: RatioSetting, check_regime: bool = True) -> float:
+def lower_constant(s: RatioSetting) -> float:
     """Closed-form constant scaling the lower envelope product."""
-    if check_regime:
-        s.require_bound_regime()
-    else:
-        _require_lower_args(s)
+    s.require_bound_regime()
     return math.exp(_log_lower_constant(s))
-
-
-def bound_constants(s: RatioSetting, check_regime: bool = True) -> BoundConstants:
-    return BoundConstants(
-        upper_constant(s, check_regime), lower_constant(s, check_regime)
-    )
 
 
 def u_tail_cutoff(s: RatioSetting, tail: float = 1e-12) -> float:
@@ -438,8 +409,7 @@ def tv_bound(m2, nu, n: int) -> float:
     """Total-variation error bound: upper constant at m1 = m2 + 0.5 over n."""
     m2 = _positive("m2", m2)
     nu = _positive("nu", nu)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = _validate_count("n", n)
     s = RatioSetting(m2 + 0.5, m2, nu, nu)
     return upper_constant(s) / float(n)
 
@@ -449,26 +419,21 @@ def default_w_grid(n: int = 99) -> np.ndarray:
     return np.linspace(0.01, 0.99, n)
 
 
-def certify_bounds(
-    s: RatioSetting,
-    n_u: int = 200,
-    n_w: int = 99,
-    slack: float = 1e-9,
-    max_violations: int = 20,
-) -> dict:
+def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
     """Measure the envelope bounds on a log-u x uniform-w grid.
 
     Returns a report with the constants, the extreme ratios of the joint
     sandwich, and the marginal sandwich in both the plain form
     (w_envelope <= marginal <= a1 * w_envelope) and the constant-scaled
-    form (a2 * w_envelope <= marginal).  Violating grid points are listed
-    with their ratios rather than hidden.
+    form (a2 * w_envelope <= marginal).  A ratio counts as a violation
+    beyond a relative slack of 1e-9; up to 20 violating grid points per
+    side are listed with their ratios rather than hidden.
     """
     s.require_bound_regime()
-    a1 = upper_constant(s)
-    a2 = lower_constant(s)
     log_a1 = _log_upper_constant(s)
     log_a2 = _log_lower_constant(s)
+    a1 = math.exp(log_a1)
+    a2 = math.exp(log_a2)
 
     w_grid = default_w_grid(n_w)
     u_hi = u_tail_cutoff(s, 1e-10)
@@ -484,14 +449,14 @@ def certify_bounds(
     lower_ratio = np.exp(log_h - log_lo)  # >= 1 when the lower bound holds
 
     joint_violations = []
-    bad_up = np.argwhere(upper_ratio > 1.0 + slack)
-    bad_lo = np.argwhere(lower_ratio < 1.0 - slack)
-    for i, j in bad_up[:max_violations]:
+    bad_up = np.argwhere(upper_ratio > 1.0 + _SLACK)
+    bad_lo = np.argwhere(lower_ratio < 1.0 - _SLACK)
+    for i, j in bad_up[:_MAX_VIOLATIONS]:
         joint_violations.append(
             {"side": "upper", "u": float(u_grid[i]), "w": float(w_grid[j]),
              "ratio": float(upper_ratio[i, j])}
         )
-    for i, j in bad_lo[:max_violations]:
+    for i, j in bad_lo[:_MAX_VIOLATIONS]:
         joint_violations.append(
             {"side": "lower", "u": float(u_grid[i]), "w": float(w_grid[j]),
              "ratio": float(lower_ratio[i, j])}
@@ -504,28 +469,28 @@ def certify_bounds(
     scaled_lower = marginal / (a2 * env_w)  # >= 1 iff a2 * env <= marginal
 
     marginal_violations = []
-    for j in np.flatnonzero(plain_lower < 1.0 - slack)[:max_violations]:
+    for j in np.flatnonzero(plain_lower < 1.0 - _SLACK)[:_MAX_VIOLATIONS]:
         marginal_violations.append(
             {"side": "plain_lower", "w": float(w_grid[j]), "ratio": float(plain_lower[j])}
         )
-    for j in np.flatnonzero(scaled_upper > 1.0 + slack)[:max_violations]:
+    for j in np.flatnonzero(scaled_upper > 1.0 + _SLACK)[:_MAX_VIOLATIONS]:
         marginal_violations.append(
             {"side": "upper", "w": float(w_grid[j]), "ratio": float(scaled_upper[j])}
         )
-    for j in np.flatnonzero(scaled_lower < 1.0 - slack)[:max_violations]:
+    for j in np.flatnonzero(scaled_lower < 1.0 - _SLACK)[:_MAX_VIOLATIONS]:
         marginal_violations.append(
             {"side": "scaled_lower", "w": float(w_grid[j]), "ratio": float(scaled_lower[j])}
         )
 
-    plain_ok = bool(plain_lower.min() >= 1.0 - slack and scaled_upper.max() <= 1.0 + slack)
-    scaled_ok = bool(scaled_lower.min() >= 1.0 - slack and scaled_upper.max() <= 1.0 + slack)
+    plain_ok = bool(plain_lower.min() >= 1.0 - _SLACK and scaled_upper.max() <= 1.0 + _SLACK)
+    scaled_ok = bool(scaled_lower.min() >= 1.0 - _SLACK and scaled_upper.max() <= 1.0 + _SLACK)
 
     return {
         "setting": {"m1": s.m1, "m2": s.m2, "nu1": s.nu1, "nu2": s.nu2},
-        "grid": {"n_u": int(n_u), "n_w": int(n_w), "u_max": float(u_hi), "slack": float(slack)},
-        "a1": float(a1),
-        "a2": float(a2),
-        "a1_ge_1": bool(a1 >= 1.0),
+        "grid": {"n_u": int(n_u), "n_w": int(n_w), "u_max": float(u_hi), "slack": _SLACK},
+        "a1": a1,
+        "a2": a2,
+        "a1_ge_1": a1 >= 1.0,
         "joint": {
             "upper_ratio_max": float(upper_ratio.max()),
             "lower_ratio_min": float(lower_ratio.min()),

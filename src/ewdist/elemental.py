@@ -232,11 +232,8 @@ def simulate_weight_distribution(
 
 
 def load_design_csv(path) -> np.ndarray:
-    """Read a headerless CSV of reals as a design matrix."""
+    """Parse a headerless CSV of reals into a 2-D array; the weight functions validate it."""
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError:
-        raise
-    except Exception as exc:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
         raise DomainError(f"could not parse design matrix CSV {path}: {exc}") from exc
-    return as_design_matrix(arr)

@@ -45,13 +45,9 @@ AD_CRITICAL = {0.01: 3.752, 0.05: 1.961}
 
 @dataclass(frozen=True)
 class EmpiricalCdf:
-    """Sorted sample defining a right-continuous step CDF with 1/n jumps."""
+    """Sorted sample defining a right-continuous step CDF with jumps of 1/values.size."""
 
     values: np.ndarray
-    n: int
-
-    def eval(self, x):
-        return ecdf_eval(self, x)
 
 
 @dataclass(frozen=True)
@@ -93,12 +89,12 @@ def _critical(table: dict, alpha: float) -> float:
 
 def ecdf(sample) -> EmpiricalCdf:
     arr = np.sort(_clean_sample(sample))
-    return EmpiricalCdf(values=arr, n=arr.size)
+    return EmpiricalCdf(arr)
 
 
 def ecdf_eval(e: EmpiricalCdf, x):
     """Fraction of sample values <= x (right-continuous)."""
-    out = np.searchsorted(e.values, np.asarray(x, dtype=float), side="right") / e.n
+    out = np.searchsorted(e.values, np.asarray(x, dtype=float), side="right") / e.values.size
     return float(out) if out.ndim == 0 else out
 
 

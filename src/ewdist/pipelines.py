@@ -17,6 +17,7 @@ from . import approx, elemental, goftests, product
 from .dist import FParams, MvtParams, _w_draws, beta_cdf, beta_sample, w_sample
 from .errors import DomainError, RegimeError
 from .rng import derive_seed
+from .specfun import _validate_count
 
 __all__ = [
     "DEFAULT_GOF_GRID",
@@ -74,7 +75,7 @@ def compare_cdf_rows(m1, m2, nu, n, grid_points, seed):
         raise DomainError("grid_points must be positive")
     shape = approx.approx_shape(m2)
     sample = np.sort(w_sample(m1, m2, nu, n, seed))
-    emp = goftests.EmpiricalCdf(sample, sample.size)
+    emp = goftests.EmpiricalCdf(sample)
     grid = np.linspace(0.0, 1.0, grid_points + 1)
     bcdf = np.asarray(beta_cdf(grid, shape))
     ecdf_vals = goftests.ecdf_eval(emp, grid)
@@ -83,13 +84,14 @@ def compare_cdf_rows(m1, m2, nu, n, grid_points, seed):
     return columns, {"md": float(gaps.max())}
 
 
-def gof_table_rows(grid, n, replications, seed, alpha=0.01):
+def gof_table_rows(grid, n, replications, seed):
     """One row per grid entry per replication, two-sample mode.
 
     Row: (m1, m2, nu, n, rep, ks, ks_identical, ad, ad_identical).
     Replication rep of grid row i draws W from derive_seed(s, 0) and the
     Beta sample from derive_seed(s, 1), s = derive_seed(derive_seed(seed, i), rep).
-    The replications of a grid row are tested in one KS and one AD call.
+    The replications of a grid row are tested in one KS and one AD call at
+    the kernels' default level, alpha = 0.01.
     """
     grid = [tuple(map(float, row)) for row in grid]
     for m1, m2, nu in grid:
@@ -97,6 +99,7 @@ def gof_table_rows(grid, n, replications, seed, alpha=0.01):
     replications = int(replications)
     if replications < 0:
         raise DomainError(f"replications must be nonnegative, got {replications}")
+    n = _validate_count("sample size", n)
     if replications == 0:
         return []
 
@@ -110,10 +113,10 @@ def gof_table_rows(grid, n, replications, seed, alpha=0.01):
             w.append(_w_draws(p1, p2, n, derive_seed(rep_seed, 0)))
             ref.append(beta_sample(shape, n, derive_seed(rep_seed, 1)))
         w, ref = np.stack(w), np.stack(ref)
-        ks = goftests.ks_two_sample_rows(w, ref, alpha=alpha)
-        ad = goftests.ad_two_sample_rows(w, ref, alpha=alpha)
+        ks = goftests.ks_two_sample_rows(w, ref)
+        ad = goftests.ad_two_sample_rows(w, ref)
         rows += [
-            (m1, m2, nu, int(n), rep, k.statistic, k.identical, a.statistic, a.identical)
+            (m1, m2, nu, n, rep, k.statistic, k.identical, a.statistic, a.identical)
             for rep, (k, a) in enumerate(zip(ks, ad))
         ]
     return rows
@@ -128,7 +131,7 @@ def omega_rows(rho, n2, n, grid_points, seed):
     """
     spec = product.ProductSpec(rho, n2)
     draws = np.sort(product.omega_sample(spec, n, seed))
-    emp = goftests.EmpiricalCdf(draws, draws.size)
+    emp = goftests.EmpiricalCdf(draws)
     grid = np.linspace(1e-8, 1.0 - 1e-8, grid_points)
     cdf_num = np.asarray(product.omega_cdf_numeric(spec, grid))
     ecdf_mc = goftests.ecdf_eval(emp, grid)

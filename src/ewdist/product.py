@@ -23,7 +23,7 @@ from .approx import approx_shape
 from .dist import beta_pdf, beta_cdf
 from .errors import DomainError, NumericError
 from .rng import sample_chunks
-from .specfun import _validate_open_unit, ln_beta, reg_inc_beta
+from .specfun import _validate_count, _validate_open_unit, ln_beta, reg_inc_beta
 
 __all__ = [
     "ProductSpec",
@@ -32,10 +32,9 @@ __all__ = [
     "omega_log_moment",
     "omega_pdf_numeric",
     "omega_cdf_numeric",
-    "DEFAULT_GRID_NODES",
 ]
 
-DEFAULT_GRID_NODES = 1 << 14
+_GRID_NODES = 1 << 14  # cells of the -ln(factor) grid
 _FACTOR_TAIL = 1e-12
 
 
@@ -48,10 +47,7 @@ class ProductSpec:
 
     def __post_init__(self):
         for name in ("rho", "n2"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise DomainError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _validate_count(name, getattr(self, name)))
 
     @property
     def factor_shape(self):
@@ -88,7 +84,7 @@ def omega_log_moment(spec: ProductSpec) -> float:
 
 
 @lru_cache(maxsize=32)
-def _log_grid(rho: int, n2: int, nodes: int):
+def _log_grid(rho: int, n2: int):
     """Convolved cell masses of Z = sum of -ln(factor), cached per spec.
 
     Returns (positions, masses, cum, dz): point masses at positions
@@ -100,8 +96,8 @@ def _log_grid(rho: int, n2: int, nodes: int):
     shape = spec.factor_shape
     # z with P(-ln T > z) = P(T < e^-z) = _FACTOR_TAIL
     z_max = -math.log(betaincinv(shape.alpha, shape.beta, _FACTOR_TAIL))
-    dz = z_max / nodes
-    edges = np.linspace(0.0, z_max, nodes + 1)
+    dz = z_max / _GRID_NODES
+    edges = np.linspace(0.0, z_max, _GRID_NODES + 1)
     # tail(z) = P(Z1 > z); differencing tails keeps tiny masses accurate
     tails = reg_inc_beta(np.exp(-edges), shape.alpha, shape.beta)
     masses = tails[:-1] - tails[1:]
@@ -110,8 +106,8 @@ def _log_grid(rho: int, n2: int, nodes: int):
     if n2 == 1:
         conv = masses
     else:
-        out_len = n2 * (nodes - 1) + 1
-        size = next_fast_len(out_len + nodes)
+        out_len = n2 * (_GRID_NODES - 1) + 1
+        size = next_fast_len(out_len + _GRID_NODES)
         spectrum = rfft(masses, size)
         conv = irfft(spectrum**n2, size)[:out_len]
         conv = np.clip(conv, 0.0, None)
@@ -123,16 +119,16 @@ def _log_grid(rho: int, n2: int, nodes: int):
     return positions, conv, np.cumsum(conv), dz
 
 
-def _cdf_z(z, rho: int, n2: int, nodes: int):
+def _cdf_z(z, rho: int, n2: int):
     """P(Z <= z) with each point mass spread over its dz-wide cell."""
-    positions, masses, cum, dz = _log_grid(rho, n2, nodes)
+    positions, masses, cum, dz = _log_grid(rho, n2)
     knots = np.concatenate(([positions[0] - 0.5 * dz], positions + 0.5 * dz))
     values = np.concatenate(([0.0], cum))
     return np.interp(z, knots, values)
 
 
-def _pdf_z(z, rho: int, n2: int, nodes: int):
-    positions, masses, _, dz = _log_grid(rho, n2, nodes)
+def _pdf_z(z, rho: int, n2: int):
+    positions, masses, _, dz = _log_grid(rho, n2)
     return np.interp(z, positions, masses / dz, left=0.0, right=0.0)
 
 
@@ -140,7 +136,7 @@ def _check_grid(grid) -> np.ndarray:
     return np.atleast_1d(_validate_open_unit("evaluation points", grid))
 
 
-def omega_pdf_numeric(spec: ProductSpec, grid, nodes: int = DEFAULT_GRID_NODES):
+def omega_pdf_numeric(spec: ProductSpec, grid):
     """Density of the product at the given (0,1) points.
 
     A single factor needs no convolution and is returned in closed form.
@@ -150,19 +146,19 @@ def omega_pdf_numeric(spec: ProductSpec, grid, nodes: int = DEFAULT_GRID_NODES):
         out = beta_pdf(arr, spec.factor_shape)
     else:
         z = -np.log(arr)
-        out = _pdf_z(z, spec.rho, spec.n2, nodes) / arr
+        out = _pdf_z(z, spec.rho, spec.n2) / arr
     if np.asarray(grid).ndim == 0:
         return float(np.asarray(out).reshape(-1)[0])
     return out
 
 
-def omega_cdf_numeric(spec: ProductSpec, w, nodes: int = DEFAULT_GRID_NODES):
+def omega_cdf_numeric(spec: ProductSpec, w):
     """Distribution function of the product at the given (0,1) points."""
     arr = _check_grid(w)
     if spec.n2 == 1:
         out = beta_cdf(arr, spec.factor_shape)
     else:
-        out = 1.0 - _cdf_z(-np.log(arr), spec.rho, spec.n2, nodes)
+        out = 1.0 - _cdf_z(-np.log(arr), spec.rho, spec.n2)
     if np.asarray(w).ndim == 0:
         return float(np.asarray(out).reshape(-1)[0])
     return out

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import DomainError
+from .specfun import _validate_count
 
 __all__ = ["GENERATOR_NAME", "CHUNK_SIZE", "chunk_stream", "derive_seed", "sample_chunks"]
 
@@ -66,9 +67,7 @@ def sample_chunks(n: int, seed: int, draw):
     `draw(rng, count)` must return an array whose leading axis has length
     `count`; chunks are concatenated in index order.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"sample size must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _validate_count("sample size", n)
     n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
 
     def one(k: int):

@@ -17,6 +17,12 @@ from .errors import DomainError, NumericError
 __all__ = ["ln_gamma", "ln_beta", "reg_inc_beta"]
 
 
+def _validate_count(name, value) -> int:
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _validate_positive(name, value):
     arr = np.asarray(value, dtype=float)
     # count_nonzero is the cheapest all-true test; this runs on every FParams/BetaShape

@@ -155,12 +155,13 @@ def test_constants_match_bigfloat_oracle(setting):
 
 def test_constant_prefactor_collapses_at_equal_params():
     # with m1 = m2 and nu1 = nu2 the power prefactor equals 1, so the
-    # big-float form without it must agree (regime check bypassed)
+    # big-float form without it must agree (outside the bound regime, so
+    # the closed forms are read without the public regime check)
     s = RatioSetting(3, 3, 50, 50)
     a1_ref, a2_ref = mp_constants(3, 3, 50, 50)
     assert (s.m1 * s.nu2 / (s.m2 * s.nu1)) ** (s.m1 / 2) == 1.0
-    assert upper_constant(s, check_regime=False) == pytest.approx(a1_ref, rel=1e-12)
-    assert lower_constant(s, check_regime=False) == pytest.approx(a2_ref, rel=1e-12)
+    assert math.exp(approx._log_upper_constant(s)) == pytest.approx(a1_ref, rel=1e-12)
+    assert math.exp(approx._log_lower_constant(s)) == pytest.approx(a2_ref, rel=1e-12)
 
 
 def test_constants_require_regime():
@@ -169,7 +170,9 @@ def test_constants_require_regime():
     with pytest.raises(RegimeError):
         lower_constant(RatioSetting(2, 5, 50, 50))
     with pytest.raises(RegimeError):
-        upper_constant(RatioSetting(60, 2, 50, 50), check_regime=False)
+        upper_constant(RatioSetting(60, 2, 50, 50))
+    with pytest.raises(RegimeError, match="upper envelope needs"):
+        u_tail_cutoff(RatioSetting(60, 2, 50, 50))
 
 
 def test_marginal_normalizes():

@@ -134,6 +134,7 @@ def test_gof_table_grid_file_and_malformed_line(tmp_path, capsys):
 @pytest.mark.parametrize("args, message", [
     (["--n", 1], "at least 4 pooled values"),
     (["--replications", -3], "nonnegative"),
+    (["--replications", 0, "--n", -5], "sample size must be a positive integer"),
 ])
 def test_gof_table_bad_sizes_exit_2(tmp_path, capsys, args, message):
     out = tmp_path / "g.csv"

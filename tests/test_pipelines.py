@@ -101,7 +101,9 @@ def test_gof_table_rows_match_per_replication_reference(n, seed):
 
 def test_gof_table_rows_replication_count():
     grid = [(3, 2, 50)]
-    assert pipelines.gof_table_rows(grid, n=-5, replications=0, seed=1) == []
+    assert pipelines.gof_table_rows(grid, n=50, replications=0, seed=1) == []
+    with pytest.raises(DomainError, match="positive integer"):
+        pipelines.gof_table_rows(grid, n=-5, replications=0, seed=1)
     with pytest.raises(DomainError, match="nonnegative"):
         pipelines.gof_table_rows(grid, n=50, replications=-3, seed=1)
     with pytest.raises(DomainError, match="at least 4"):
