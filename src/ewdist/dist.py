@@ -1,6 +1,7 @@
 """F and Beta distributions (pdf/cdf/sampler) and a multivariate-t row sampler.
 
-Samplers are deterministic given a seed (see rng.py).  F variates are
+Samplers are deterministic given a seed (see rng.py); given a 1-D array of
+seeds they return one row of draws per seed.  F variates are
 generated as a ratio of two gamma draws scaled by the degrees of freedom,
 which is cheap at Monte Carlo scale and needs no quantile function.
 """
@@ -110,7 +111,7 @@ def f_cdf(y, p: FParams):
     return out
 
 
-def f_sample(p: FParams, n: int, seed: int) -> np.ndarray:
+def f_sample(p: FParams, n: int, seed) -> np.ndarray:
     """n i.i.d. F(m, nu) draws as a scaled ratio of gamma variates."""
 
     def draw(rng, count):
@@ -137,26 +138,26 @@ def beta_cdf(x, s: BetaShape):
     return reg_inc_beta(x, s.alpha, s.beta)
 
 
-def beta_sample(s: BetaShape, n: int, seed: int) -> np.ndarray:
+def beta_sample(s: BetaShape, n: int, seed) -> np.ndarray:
     def draw(rng, count):
         return rng.beta(s.alpha, s.beta, count)
 
     return sample_chunks(n, seed, draw)
 
 
-def w_sample(m1: float, m2: float, nu: float, n: int, seed: int) -> np.ndarray:
+def w_sample(m1: float, m2: float, nu: float, n: int, seed) -> np.ndarray:
     """Draws of W = Y1/(Y1+Y2) for independent Y1 ~ F(m1, nu), Y2 ~ F(m2, nu)."""
     return _w_draws(FParams(m1, nu), FParams(m2, nu), n, seed)
 
 
-def _w_draws(p1: FParams, p2: FParams, n: int, seed: int) -> np.ndarray:
+def _w_draws(p1: FParams, p2: FParams, n: int, seed) -> np.ndarray:
     """`w_sample` for prebuilt laws Y1 ~ p1, Y2 ~ p2."""
     y1 = f_sample(p1, n, derive_seed(seed, 0))
     y2 = f_sample(p2, n, derive_seed(seed, 1))
     return y1 / (y1 + y2)
 
 
-def mvt_sample_rows(p: MvtParams, n_rows: int, seed: int) -> np.ndarray:
+def mvt_sample_rows(p: MvtParams, n_rows: int, seed) -> np.ndarray:
     """n_rows independent draws from the dim-variate t(dof, scale) law.
 
     Each row is a correlated Gaussian row divided by sqrt(chi2_dof/dof).
@@ -169,4 +170,4 @@ def mvt_sample_rows(p: MvtParams, n_rows: int, seed: int) -> np.ndarray:
         return (z @ chol.T) / np.sqrt(chi2 / p.dof)[:, None]
 
     out = sample_chunks(n_rows, seed, draw)
-    return out.reshape(n_rows, p.dim)
+    return out.reshape(*np.shape(seed), n_rows, p.dim)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dist import MvtParams, mvt_sample_rows
 from .errors import DomainError, RankError, SizeError
-from .rng import derive_seed
+from .rng import _seeded_streams, derive_seed
 
 __all__ = [
     "ElementalWeight",
@@ -208,26 +208,29 @@ def simulate_weight_distribution(
     Each matrix has l rows of dim-variate t draws (plus an optional
     constant column); elemental sets have dim+1 rows.  Mode "all" emits
     every subset's weight per matrix, "sampled-sets" one uniformly chosen
-    subset per matrix.  Deterministic for a fixed seed.
+    subset per matrix.  Matrix j draws its rows from derive_seed(seed, 2j)
+    and its subset from Philox(SeedSequence([derive_seed(seed, 2j + 1)]));
+    each of the two seed levels is keyed for all matrices in one array call.
     """
     if mode not in ("all", "sampled-sets"):
         raise DomainError(f"mode must be 'all' or 'sampled-sets', got {mode!r}")
     if l < p.dim + 1:
         raise DomainError(f"need l >= dim+1 rows, got l={l}, dim={p.dim}")
     k = p.dim + 1
-    subsets = list(_subsets(l, k, ENUMERATION_CAP)) if mode == "all" else None
+    j = np.arange(int(n_matrices), dtype=np.uint64)
+    if mode == "all":
+        subsets = [list(_subsets(l, k, ENUMERATION_CAP))] * j.size
+    else:
+        count = math.comb(l, k)
+        subsets = [[tuple(i - 1 for i in subset_by_rank(l, k, int(rng.integers(0, count))))]
+                   for rng in _seeded_streams(derive_seed(seed, 2 * j + 1))]
+    designs = mvt_sample_rows(p, l, derive_seed(seed, 2 * j))
+    if intercept:
+        designs = np.concatenate([np.ones(designs.shape[:2] + (1,)), designs], axis=2)
     out = []
-    for j in range(int(n_matrices)):
-        arr, log_full = _validated(simulated_design(p, l, seed, j, intercept))
-        if mode == "all":
-            out.extend(_weights(arr, log_full, subsets))
-        else:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=[derive_seed(seed, 2 * j + 1)]))
-            )
-            rank = int(rng.integers(0, math.comb(l, k)))
-            subset = tuple(i - 1 for i in subset_by_rank(l, k, rank))
-            out.extend(_weights(arr, log_full, [subset]))
+    for x, sets in zip(designs, subsets):
+        arr, log_full = _validated(x)
+        out.extend(_weights(arr, log_full, sets))
     return np.array(out)
 
 

@@ -4,9 +4,10 @@ Pure functions: they take parameters and a seed and return tables ready
 for serialization, as an ordered {header: 1-D array or list} mapping of
 columns plus a summary dict (`gof_table_rows` returns row tuples).  All
 replication loops derive child seeds by index, so each row depends only on
-its seed and parameters.  `gof_table_rows` builds each grid row's laws
-once, draws its replications into two (replications x n) arrays and tests
-them with one row-wise KS and one row-wise AD call.
+its seed and parameters.  `gof_table_rows` derives every seed of the table
+in a few array calls, draws each grid row's replications into two
+(replications x n) arrays and tests them with one row-wise KS and one
+row-wise AD call.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ def gof_table_rows(grid, n, replications, seed):
     Row: (m1, m2, nu, n, rep, ks, ks_identical, ad, ad_identical).
     Replication rep of grid row i draws W from derive_seed(s, 0) and the
     Beta sample from derive_seed(s, 1), s = derive_seed(derive_seed(seed, i), rep).
-    The replications of a grid row are tested in one KS and one AD call at
-    the kernels' default level, alpha = 0.01.
+    The seeds of the whole table are derived by array calls, each grid row's
+    replications drawn as two (replications x n) arrays and tested in one KS
+    and one AD call at the kernels' default level, alpha = 0.01.
     """
     grid = [tuple(map(float, row)) for row in grid]
     for m1, m2, nu in grid:
@@ -103,16 +105,13 @@ def gof_table_rows(grid, n, replications, seed):
     if replications == 0:
         return []
 
+    rep_seeds = derive_seed(derive_seed(seed, np.arange(len(grid)))[:, None],
+                            np.arange(replications))
+    w_seeds, ref_seeds = derive_seed(rep_seeds, 0), derive_seed(rep_seeds, 1)
     rows = []
-    for row_idx, (m1, m2, nu) in enumerate(grid):
-        p1, p2, shape = FParams(m1, nu), FParams(m2, nu), approx.approx_shape(m2)
-        row_seed = derive_seed(seed, row_idx)
-        w, ref = [], []
-        for rep in range(replications):
-            rep_seed = derive_seed(row_seed, rep)
-            w.append(_w_draws(p1, p2, n, derive_seed(rep_seed, 0)))
-            ref.append(beta_sample(shape, n, derive_seed(rep_seed, 1)))
-        w, ref = np.stack(w), np.stack(ref)
+    for (m1, m2, nu), w_seed, ref_seed in zip(grid, w_seeds, ref_seeds):
+        w = _w_draws(FParams(m1, nu), FParams(m2, nu), n, w_seed)
+        ref = beta_sample(approx.approx_shape(m2), n, ref_seed)
         ks = goftests.ks_two_sample_rows(w, ref)
         ad = goftests.ad_two_sample_rows(w, ref)
         rows += [
@@ -130,6 +129,8 @@ def omega_rows(rho, n2, n, grid_points, seed):
     form, Monte Carlo mean of Omega^k) for k = 0..3.
     """
     spec = product.ProductSpec(rho, n2)
+    if grid_points < 1:
+        raise DomainError("grid_points must be positive")
     draws = np.sort(product.omega_sample(spec, n, seed))
     emp = goftests.EmpiricalCdf(draws)
     grid = np.linspace(1e-8, 1.0 - 1e-8, grid_points)

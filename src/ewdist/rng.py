@@ -1,14 +1,27 @@
 """Deterministic, splittable random number streams.
 
-All sampling in the package is chunked: a request for n draws is split
-into fixed-size chunks and chunk k is generated from its own Philox
-stream keyed by (seed, CHUNK_TAG, k).  The result therefore depends only
-on (seed, parameters, n) and never on how many workers processed the
-chunks.  Chunks run on one thread per CPU available to the process, capped
-at the chunk count; a single chunk runs in the calling thread.
+The seed tree.  Every stream is a Philox stream (Salmon et al., SC'11)
+keyed by numpy's ``SeedSequence`` over a short list of 64-bit entries:
 
-``derive_seed`` produces independent child seeds (keyed by a different
-tag) so a command can hand disjoint streams to sub-tasks.
+- a child seed is ``derive_seed(seed, i) =
+  SeedSequence([seed, _CHILD_TAG, i]).generate_state(1, uint64)``, so a
+  command hands disjoint streams to sub-tasks by index;
+- chunk k of the draws from ``seed`` comes from
+  ``Philox(SeedSequence([seed, _CHUNK_TAG, k]))``;
+- the sampled-subset stream of elemental matrix j is
+  ``Philox(SeedSequence([derive_seed(seed, 2j + 1)]))``, with no tag.
+
+All sampling is chunked: a request for n draws is split into fixed-size
+chunks, concatenated in chunk order, so the result depends only on
+(seed, parameters, n) and never on how many workers processed the chunks.
+Chunks run on one thread per CPU available to the process, capped at the
+chunk count; a single chunk runs in the calling thread.
+
+A scalar seed goes through numpy's ``SeedSequence`` itself; that path
+defines the layout.  An array of seeds or indices goes through
+``_seed_state``, the same ``SeedSequence`` arithmetic done over whole
+arrays, which gives the same bits for every element at a fixed cost of
+one call however many streams it keys.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 from .specfun import _validate_count
@@ -30,27 +44,157 @@ _CHUNK_TAG = 0x43484B  # stream namespace for sampler chunks
 _CHILD_TAG = 0x535542  # stream namespace for derived child seeds
 
 
+def _validate_key(name: str, value) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not 0 <= value < 2**64:
+        raise DomainError(f"{name} must fit in 64 unsigned bits, got {value}")
+    return value
+
+
 def validate_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return seed
+    return _validate_key("seed", seed)
+
+
+def _key_array(name: str, value) -> np.ndarray:
+    """`value` as a uint64 array, each element checked as `_validate_key` does.
+
+    Anything but an integer ndarray is checked element by element: numpy
+    reads [2**64 - 1, 3] as float64 and [True, 0] as int64.
+    """
+    if not isinstance(value, np.ndarray) or value.dtype == object:
+        arr = np.array(value, dtype=object)
+        flat = [_validate_key(name, v) for v in arr.flat]
+        return np.array(flat, dtype=np.uint64).reshape(arr.shape)
+    arr = value
+    if arr.dtype.kind not in "iu":
+        raise DomainError(f"{name} must be an integer, got dtype {arr.dtype}")
+    if arr.dtype.kind == "i" and arr.size and arr.min() < 0:
+        raise DomainError(f"{name} must fit in 64 unsigned bits, got {arr.min()}")
+    return arr.astype(np.uint64)
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4 uint32
+# words filled by `hashmix` and `mix`, read out by the `generate_state` hash.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MAX_WORDS = 6  # three 64-bit entries
+
+
+def _hash_steps(init: int, mult: int, count: int) -> np.ndarray:
+    """(xor, mul) uint32 pairs of `count` steps of a running hash constant.
+
+    Step t xors the value with the constant, multiplies the constant by
+    `mult`, then multiplies the value by the new constant.
+    """
+    steps, h = [], init
+    for _ in range(count):
+        nxt = h * mult & 0xFFFFFFFF
+        steps.append((h, nxt))
+        h = nxt
+    return np.array(steps, dtype=np.uint32)[:, :, None]
+
+
+# mix_entropy's hashmix calls in order: the pool fill, 4 x 3 cross mixes,
+# then 4 per entropy word past the pool
+_MIX_STEPS = _hash_steps(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (_MAX_WORDS - _POOL))
+_FILL = _MIX_STEPS[:_POOL]
+_CROSS = [(src, [dst for dst in range(_POOL) if dst != src],
+           _MIX_STEPS[_POOL + 3 * src:_POOL + 3 * src + 3]) for src in range(_POOL)]
+_EXTRA = [_MIX_STEPS[_POOL * w:_POOL * (w + 1)] for w in range(_POOL, _MAX_WORDS)]
+_OUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 4)  # generate_state: up to two uint64 words
+
+
+def _hashmix(value: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    value = (value ^ steps[:, 0]) * steps[:, 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_state(columns, n64: int) -> np.ndarray:
+    """``SeedSequence(entropy=[c[i] for c in columns]).generate_state(n64, uint64)``
+    for every element i of the broadcast uint64 `columns`, shape (*shape, n64).
+
+    Each entry is split into uint32 words as numpy's ``_int_to_uint32_array``
+    does: one word below 2**32 (0 included), two otherwise.  An element's
+    words are laid out in a zero-padded (words x elements) array; padding
+    up to the pool size is what numpy's fill does, and the words past it
+    are mixed in only where an element has them.
+    """
+    columns = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in columns))
+    shape, size = columns[0].shape, columns[0].size
+    words = np.zeros((_MAX_WORDS, size), dtype=np.uint32)
+    at = np.zeros(size, dtype=np.intp)
+    elems = np.arange(size)
+    for col in columns:
+        col = col.reshape(-1)
+        hi = (col >> np.uint64(32)).astype(np.uint32)
+        words[at, elems] = col.astype(np.uint32)  # the low word
+        at += 1
+        two = hi != 0
+        words[at[two], elems[two]] = hi[two]
+        at += two
+
+    pool = _hashmix(words[:_POOL], _FILL)
+    for src, dst, steps in _CROSS:
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+    for w, steps in zip(range(_POOL, int(at.max(initial=0))), _EXTRA):
+        mixed = _mix(pool, _hashmix(words[w], steps))
+        pool = np.where(w < at, mixed, pool)
+
+    state = _hashmix(pool[np.arange(2 * n64) % _POOL], _OUT_STEPS[:2 * n64])
+    state = state.astype(np.uint64)
+    out = state[0::2] | (state[1::2] << np.uint64(32))  # little-endian word pairs
+    return np.moveaxis(out, 0, -1).reshape(*shape, n64)
+
+
+class _Key(ISeedSequence):
+    """A precomputed Philox key presented as the seed sequence that made it."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds one 2 x uint64 key, asked for {n_words} x {dtype}")
+        return self.key
+
+
+def _stream(key: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_Key(key)))
 
 
 def chunk_stream(seed: int, index: int) -> np.random.Generator:
     """Generator for chunk `index` of the stream keyed by `seed`."""
     seed = validate_seed(seed)
-    ss = np.random.SeedSequence(entropy=[seed, _CHUNK_TAG, int(index)])
+    ss = np.random.SeedSequence(entropy=[seed, _CHUNK_TAG, _validate_key("index", index)])
     return np.random.Generator(np.random.Philox(ss))
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Deterministic child seed, independent of chunk streams."""
-    seed = validate_seed(seed)
-    ss = np.random.SeedSequence(entropy=[seed, _CHILD_TAG, int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+def derive_seed(seed, index):
+    """Deterministic child seed, independent of chunk streams.
+
+    An int for int `seed` and `index`; a uint64 array of their broadcast
+    shape when either is an array.
+    """
+    if np.ndim(seed) == 0 and np.ndim(index) == 0:
+        entropy = [validate_seed(seed), _CHILD_TAG, _validate_key("index", index)]
+        return int(np.random.SeedSequence(entropy=entropy).generate_state(1, np.uint64)[0])
+    entropy = [_key_array("seed", seed), _CHILD_TAG, _key_array("index", index)]
+    return _seed_state(entropy, 1)[..., 0]
+
+
+def _seeded_streams(seeds) -> list:
+    """Generators ``Philox(SeedSequence([s]))``, one per element of the array `seeds`."""
+    return [_stream(k) for k in _seed_state([_key_array("seed", seeds)], 2).reshape(-1, 2)]
 
 
 def _available_cpus() -> int:
@@ -61,25 +205,36 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def sample_chunks(n: int, seed: int, draw):
+def sample_chunks(n: int, seed, draw):
     """Assemble n draws from per-chunk streams, identical for any worker count.
 
     `draw(rng, count)` must return an array whose leading axis has length
-    `count`; chunks are concatenated in index order.
+    `count`; chunks are concatenated in index order.  With a 1-D array of
+    seeds the result has one row per seed, shape (len(seeds), n, ...),
+    and row i equals the draws for seeds[i] alone.
     """
     n = _validate_count("sample size", n)
     n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
-
-    def one(k: int):
-        count = min(CHUNK_SIZE, n - k * CHUNK_SIZE)
-        return draw(chunk_stream(seed, k), count)
-
     workers = min(_available_cpus(), n_chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(n_chunks)))
-    else:
-        parts = [one(k) for k in range(n_chunks)]
-    if n_chunks == 1:
-        return parts[0]
-    return np.concatenate(parts, axis=0)
+
+    def assemble(stream):
+        """One row of draws; `stream(k)` is the generator of chunk k."""
+
+        def one(k: int):
+            return draw(stream(k), min(CHUNK_SIZE, n - k * CHUNK_SIZE))
+
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(one, range(n_chunks)))
+        else:
+            parts = [one(k) for k in range(n_chunks)]
+        return parts[0] if n_chunks == 1 else np.concatenate(parts, axis=0)
+
+    if np.ndim(seed) == 0:
+        return assemble(lambda k: chunk_stream(seed, k))
+    seeds = _key_array("seed", seed)
+    if seeds.ndim != 1:
+        raise DomainError(f"seeds must be a scalar or a 1-D array, got shape {seeds.shape}")
+    keys = _seed_state([seeds[:, None], _CHUNK_TAG, np.arange(n_chunks, dtype=np.uint64)], 2)
+    rows = [assemble(lambda k, row=row: _stream(row[k])) for row in keys]
+    return np.stack(rows) if rows else np.empty((0, n))

@@ -156,6 +156,16 @@ def test_omega_command_rows(tmp_path):
     assert float(k0[2]) == 1.0 and float(k0[3]) == 1.0
 
 
+@pytest.mark.parametrize("points", [-2, 0])
+def test_omega_nonpositive_grid_points_exit_2(tmp_path, capsys, points):
+    out = tmp_path / "om.csv"
+    assert run_cli(
+        ["omega", "--rho", 2, "--n2", 3, "--n", 1000, "--grid-points", points, "--out", out]
+    ) == 2
+    assert "grid_points must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_elemental_matrix_mode(tmp_path):
     mat = tmp_path / "m.csv"
     rng = np.random.default_rng(0)

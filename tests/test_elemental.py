@@ -170,6 +170,43 @@ def test_simulated_design_stream_layout():
         assert np.array_equal(with_intercept, np.column_stack([np.ones(8), rows]))
 
 
+_CHILD_TAG, _CHUNK_TAG = 0x535542, 0x43484B  # the stream layout's namespaces
+
+
+def _reference_simulation(p, l, n_matrices, seed, mode, intercept):
+    """Matrix by matrix, every stream keyed by numpy's SeedSequence itself."""
+
+    def child(parent, index):
+        ss = np.random.SeedSequence([parent, _CHILD_TAG, index])
+        return int(ss.generate_state(1, np.uint64)[0])
+
+    def stream(entropy):
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+    chol, k, out = np.linalg.cholesky(p.scale), p.dim + 1, []
+    for j in range(n_matrices):
+        rows = stream([child(seed, 2 * j), _CHUNK_TAG, 0])
+        z = rows.standard_normal((l, p.dim))
+        x = (z @ chol.T) / np.sqrt(rows.chisquare(p.dof, l) / p.dof)[:, None]
+        if intercept:
+            x = np.column_stack([np.ones(l), x])
+        if mode == "all":
+            out += [ew.weight for ew in all_weights(x, set_size=k)]
+        else:
+            rank = int(stream([child(seed, 2 * j + 1)]).integers(0, math.comb(l, k)))
+            out.append(weight_of_set(x, subset_by_rank(l, k, rank)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("mode", ["sampled-sets", "all"])
+def test_simulate_matches_per_matrix_reference(mode, intercept):
+    p = MvtParams(2, 7.0, np.array([[1.0, 0.3], [0.3, 2.0]]))
+    for seed in (0, 41, 2**64 - 1):
+        got = simulate_weight_distribution(p, 7, 25, seed, mode=mode, intercept=intercept)
+        assert np.array_equal(got, _reference_simulation(p, 7, 25, seed, mode, intercept))
+
+
 def test_simulate_all_mode_over_cap_raises():
     p = MvtParams(2, 50.0, np.eye(2))
     with pytest.raises(SizeError):
