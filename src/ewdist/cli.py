@@ -32,7 +32,7 @@ import numpy as np
 from . import approx, pipelines
 from .elemental import load_design_csv
 from .errors import ConfigError, DomainError, NumericError, RankError, SizeError
-from .rng import validate_seed
+from .rng import _key_array
 
 __all__ = ["main", "build_parser"]
 
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     try:
         argv = _inject_config(argv, registry)
         args = parser.parse_args(argv)
-        validate_seed(args.seed)
+        _key_array("seed", args.seed)
         return args.func(args)
     except NumericError as exc:
         print(f"ew: numeric failure: {exc}", file=sys.stderr)

@@ -147,13 +147,8 @@ def beta_sample(s: BetaShape, n: int, seed) -> np.ndarray:
 
 def w_sample(m1: float, m2: float, nu: float, n: int, seed) -> np.ndarray:
     """Draws of W = Y1/(Y1+Y2) for independent Y1 ~ F(m1, nu), Y2 ~ F(m2, nu)."""
-    return _w_draws(FParams(m1, nu), FParams(m2, nu), n, seed)
-
-
-def _w_draws(p1: FParams, p2: FParams, n: int, seed) -> np.ndarray:
-    """`w_sample` for prebuilt laws Y1 ~ p1, Y2 ~ p2."""
-    y1 = f_sample(p1, n, derive_seed(seed, 0))
-    y2 = f_sample(p2, n, derive_seed(seed, 1))
+    y1 = f_sample(FParams(m1, nu), n, derive_seed(seed, 0))
+    y2 = f_sample(FParams(m2, nu), n, derive_seed(seed, 1))
     return y1 / (y1 + y2)
 
 

@@ -183,15 +183,16 @@ def subset_by_rank(l: int, k: int, rank: int) -> tuple:
     return tuple(out)
 
 
-def simulated_design(p: MvtParams, l: int, seed: int, index: int, intercept: bool = False):
+def simulated_design(p: MvtParams, l: int, seed: int, index, intercept: bool = False):
     """Design matrix `index` of `simulate_weight_distribution`, not yet validated.
 
     Its rows are t draws from the stream derive_seed(seed, 2 * index); an intercept
-    prepends a column of ones.  The weight functions validate it.
+    prepends a column of ones.  A 1-D integer array of indices gives those designs
+    stacked, shape (len(index), l, c).  The weight functions validate them.
     """
-    x = mvt_sample_rows(p, l, derive_seed(seed, 2 * index))
+    x = mvt_sample_rows(p, l, derive_seed(seed, 2 * np.asarray(index)))
     if intercept:
-        x = np.column_stack([np.ones(l), x])
+        x = np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
     return x
 
 
@@ -208,14 +209,16 @@ def simulate_weight_distribution(
     Each matrix has l rows of dim-variate t draws (plus an optional
     constant column); elemental sets have dim+1 rows.  Mode "all" emits
     every subset's weight per matrix, "sampled-sets" one uniformly chosen
-    subset per matrix.  Matrix j draws its rows from derive_seed(seed, 2j)
-    and its subset from Philox(SeedSequence([derive_seed(seed, 2j + 1)]));
+    subset per matrix.  Matrix j is `simulated_design(p, l, seed, j)` and
+    draws its subset from Philox(SeedSequence([derive_seed(seed, 2j + 1)]));
     each of the two seed levels is keyed for all matrices in one array call.
     """
     if mode not in ("all", "sampled-sets"):
         raise DomainError(f"mode must be 'all' or 'sampled-sets', got {mode!r}")
     if l < p.dim + 1:
         raise DomainError(f"need l >= dim+1 rows, got l={l}, dim={p.dim}")
+    if n_matrices < 0:
+        raise DomainError(f"n_matrices must be nonnegative, got {n_matrices}")
     k = p.dim + 1
     j = np.arange(int(n_matrices), dtype=np.uint64)
     if mode == "all":
@@ -224,9 +227,7 @@ def simulate_weight_distribution(
         count = math.comb(l, k)
         subsets = [[tuple(i - 1 for i in subset_by_rank(l, k, int(rng.integers(0, count))))]
                    for rng in _seeded_streams(derive_seed(seed, 2 * j + 1))]
-    designs = mvt_sample_rows(p, l, derive_seed(seed, 2 * j))
-    if intercept:
-        designs = np.concatenate([np.ones(designs.shape[:2] + (1,)), designs], axis=2)
+    designs = simulated_design(p, l, seed, j, intercept)
     out = []
     for x, sets in zip(designs, subsets):
         arr, log_full = _validated(x)

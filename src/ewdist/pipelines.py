@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import approx, elemental, goftests, product
-from .dist import FParams, MvtParams, _w_draws, beta_cdf, beta_sample, w_sample
+from .dist import MvtParams, beta_cdf, beta_sample, w_sample
 from .errors import DomainError, RegimeError
 from .rng import derive_seed
 from .specfun import _validate_count
@@ -110,7 +110,7 @@ def gof_table_rows(grid, n, replications, seed):
     w_seeds, ref_seeds = derive_seed(rep_seeds, 0), derive_seed(rep_seeds, 1)
     rows = []
     for (m1, m2, nu), w_seed, ref_seed in zip(grid, w_seeds, ref_seeds):
-        w = _w_draws(FParams(m1, nu), FParams(m2, nu), n, w_seed)
+        w = w_sample(m1, m2, nu, n, w_seed)
         ref = beta_sample(approx.approx_shape(m2), n, ref_seed)
         ks = goftests.ks_two_sample_rows(w, ref)
         ad = goftests.ad_two_sample_rows(w, ref)

@@ -103,14 +103,11 @@ def _log_grid(rho: int, n2: int):
     masses = tails[:-1] - tails[1:]
     masses = np.clip(masses, 0.0, None)
 
-    if n2 == 1:
-        conv = masses
-    else:
-        out_len = n2 * (_GRID_NODES - 1) + 1
-        size = next_fast_len(out_len + _GRID_NODES)
-        spectrum = rfft(masses, size)
-        conv = irfft(spectrum**n2, size)[:out_len]
-        conv = np.clip(conv, 0.0, None)
+    out_len = n2 * (_GRID_NODES - 1) + 1
+    size = next_fast_len(out_len + _GRID_NODES)
+    spectrum = rfft(masses, size)
+    conv = irfft(spectrum**n2, size)[:out_len]
+    conv = np.clip(conv, 0.0, None)
     total = conv.sum()
     if not 0.99 < total < 1.01:
         raise NumericError("convolution mass drifted", total=float(total), spec=str(spec))

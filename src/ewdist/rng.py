@@ -17,11 +17,9 @@ chunks, concatenated in chunk order, so the result depends only on
 Chunks run on one thread per CPU available to the process, capped at the
 chunk count; a single chunk runs in the calling thread.
 
-A scalar seed goes through numpy's ``SeedSequence`` itself; that path
-defines the layout.  An array of seeds or indices goes through
-``_seed_state``, the same ``SeedSequence`` arithmetic done over whole
-arrays, which gives the same bits for every element at a fixed cost of
-one call however many streams it keys.
+There is one derivation: ``_seed_state`` computes the ``SeedSequence``
+arithmetic over whole arrays of seeds and indices, scalars included, and
+``tests/test_rng.py`` checks it bit for bit against numpy's ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import DomainError
 from .specfun import _validate_count
 
-__all__ = ["GENERATOR_NAME", "CHUNK_SIZE", "chunk_stream", "derive_seed", "sample_chunks"]
+__all__ = ["GENERATOR_NAME", "CHUNK_SIZE", "derive_seed", "sample_chunks"]
 
 GENERATOR_NAME = "philox4x64/v1"
 CHUNK_SIZE = 1 << 15
@@ -44,29 +42,20 @@ _CHUNK_TAG = 0x43484B  # stream namespace for sampler chunks
 _CHILD_TAG = 0x535542  # stream namespace for derived child seeds
 
 
-def _validate_key(name: str, value) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if not 0 <= value < 2**64:
-        raise DomainError(f"{name} must fit in 64 unsigned bits, got {value}")
-    return value
-
-
-def validate_seed(seed) -> int:
-    return _validate_key("seed", seed)
-
-
 def _key_array(name: str, value) -> np.ndarray:
-    """`value` as a uint64 array, each element checked as `_validate_key` does.
+    """`value` as a uint64 array, each element an integer in [0, 2**64).
 
     Anything but an integer ndarray is checked element by element: numpy
     reads [2**64 - 1, 3] as float64 and [True, 0] as int64.
     """
     if not isinstance(value, np.ndarray) or value.dtype == object:
         arr = np.array(value, dtype=object)
-        flat = [_validate_key(name, v) for v in arr.flat]
-        return np.array(flat, dtype=np.uint64).reshape(arr.shape)
+        for v in arr.flat:
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise DomainError(f"{name} must be an integer, got {v!r}")
+            if not 0 <= v < 2**64:
+                raise DomainError(f"{name} must fit in 64 unsigned bits, got {v}")
+        return np.array([int(v) for v in arr.flat], dtype=np.uint64).reshape(arr.shape)
     arr = value
     if arr.dtype.kind not in "iu":
         raise DomainError(f"{name} must be an integer, got dtype {arr.dtype}")
@@ -172,24 +161,15 @@ def _stream(key: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key(key)))
 
 
-def chunk_stream(seed: int, index: int) -> np.random.Generator:
-    """Generator for chunk `index` of the stream keyed by `seed`."""
-    seed = validate_seed(seed)
-    ss = np.random.SeedSequence(entropy=[seed, _CHUNK_TAG, _validate_key("index", index)])
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def derive_seed(seed, index):
     """Deterministic child seed, independent of chunk streams.
 
     An int for int `seed` and `index`; a uint64 array of their broadcast
     shape when either is an array.
     """
-    if np.ndim(seed) == 0 and np.ndim(index) == 0:
-        entropy = [validate_seed(seed), _CHILD_TAG, _validate_key("index", index)]
-        return int(np.random.SeedSequence(entropy=entropy).generate_state(1, np.uint64)[0])
     entropy = [_key_array("seed", seed), _CHILD_TAG, _key_array("index", index)]
-    return _seed_state(entropy, 1)[..., 0]
+    out = _seed_state(entropy, 1)[..., 0]
+    return int(out) if out.ndim == 0 else out
 
 
 def _seeded_streams(seeds) -> list:
@@ -214,14 +194,19 @@ def sample_chunks(n: int, seed, draw):
     and row i equals the draws for seeds[i] alone.
     """
     n = _validate_count("sample size", n)
+    seeds = _key_array("seed", seed)
+    if seeds.ndim > 1:
+        raise DomainError(f"seeds must be a scalar or a 1-D array, got shape {seeds.shape}")
     n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
     workers = min(_available_cpus(), n_chunks)
+    chunks = np.arange(n_chunks, dtype=np.uint64)
+    keys = _seed_state([seeds.reshape(-1, 1), _CHUNK_TAG, chunks], 2)
 
-    def assemble(stream):
-        """One row of draws; `stream(k)` is the generator of chunk k."""
+    def assemble(row):
+        """The draws of one seed; `row[k]` keys chunk k."""
 
         def one(k: int):
-            return draw(stream(k), min(CHUNK_SIZE, n - k * CHUNK_SIZE))
+            return draw(_stream(row[k]), min(CHUNK_SIZE, n - k * CHUNK_SIZE))
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -230,11 +215,7 @@ def sample_chunks(n: int, seed, draw):
             parts = [one(k) for k in range(n_chunks)]
         return parts[0] if n_chunks == 1 else np.concatenate(parts, axis=0)
 
-    if np.ndim(seed) == 0:
-        return assemble(lambda k: chunk_stream(seed, k))
-    seeds = _key_array("seed", seed)
-    if seeds.ndim != 1:
-        raise DomainError(f"seeds must be a scalar or a 1-D array, got shape {seeds.shape}")
-    keys = _seed_state([seeds[:, None], _CHUNK_TAG, np.arange(n_chunks, dtype=np.uint64)], 2)
-    rows = [assemble(lambda k, row=row: _stream(row[k])) for row in keys]
+    rows = [assemble(row) for row in keys]
+    if seeds.ndim == 0:
+        return rows[0]
     return np.stack(rows) if rows else np.empty((0, n))

@@ -198,6 +198,17 @@ def test_elemental_generate_mode(tmp_path):
     assert weights == [pytest.approx(1.0, abs=1e-12)] * 8
 
 
+@pytest.mark.parametrize("mode", ["sampled-sets", "all"])
+def test_elemental_negative_n_matrices_exits_2(tmp_path, capsys, mode):
+    out = tmp_path / "gen.csv"
+    assert run_cli(
+        ["elemental", "--generate", "--rho", 2, "--nu", 50, "--l", 7,
+         "--n-matrices", -3, "--mode", mode, "--out", out]
+    ) == 2
+    assert "n_matrices must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_elemental_requires_a_source(tmp_path):
     assert run_cli(["elemental", "--out", tmp_path / "o.csv"]) == 2
 

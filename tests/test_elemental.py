@@ -168,6 +168,12 @@ def test_simulated_design_stream_layout():
         assert np.array_equal(simulated_design(p, 8, 41, j), rows)
         with_intercept = simulated_design(p, 8, 41, j, intercept=True)
         assert np.array_equal(with_intercept, np.column_stack([np.ones(8), rows]))
+    # an index array stacks the designs of its indices
+    for intercept in (False, True):
+        stacked = simulated_design(p, 8, 41, np.array([0, 3, 1]), intercept)
+        assert stacked.shape == (3, 8, 3 if intercept else 2)
+        for x, j in zip(stacked, (0, 3, 1)):
+            assert np.array_equal(x, simulated_design(p, 8, 41, j, intercept))
 
 
 _CHILD_TAG, _CHUNK_TAG = 0x535542, 0x43484B  # the stream layout's namespaces

@@ -5,7 +5,7 @@ import pytest
 
 from ewdist import rng
 from ewdist.errors import DomainError
-from ewdist.rng import CHUNK_SIZE, chunk_stream, derive_seed, sample_chunks
+from ewdist.rng import CHUNK_SIZE, derive_seed, sample_chunks
 
 EDGE_PARENTS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 EDGE_INDICES = [0, 1, 2**32 - 1, 2**32]
@@ -62,6 +62,15 @@ def test_key_refuses_other_requests():
             key.generate_state(n_words, dtype)
 
 
+@pytest.mark.parametrize("parent", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 1, 2**32])
+def test_scalar_derive_seed_matches_seed_sequence(parent, index):
+    ss = np.random.SeedSequence([parent, rng._CHILD_TAG, index])
+    got = derive_seed(parent, index)
+    assert isinstance(got, int)
+    assert got == int(ss.generate_state(1, np.uint64)[0])
+
+
 def test_array_derive_seed_equals_scalar_elementwise():
     parents = np.array(_parents()[:40], dtype=np.uint64)
     indices = np.array(_indices(), dtype=np.uint64)
@@ -83,6 +92,19 @@ def _gamma(gen, count):
 
 def _pairs(gen, count):
     return gen.standard_normal((count, 2))
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+def test_scalar_sample_chunks_matches_seed_sequence_streams(monkeypatch, cpus, seed):
+    monkeypatch.setattr("ewdist.rng._available_cpus", lambda: cpus)
+    n = 2 * CHUNK_SIZE + 3
+    want = []
+    for k in range(3):
+        ss = np.random.SeedSequence([seed, rng._CHUNK_TAG, k])
+        gen = np.random.Generator(np.random.Philox(ss))
+        want.append(_gamma(gen, min(CHUNK_SIZE, n - k * CHUNK_SIZE)))
+    assert np.array_equal(sample_chunks(n, seed, _gamma), np.concatenate(want))
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
@@ -108,8 +130,6 @@ def test_bad_scalar_seed_or_index_raises_domain_error(bad):
     for call in (
         lambda: derive_seed(bad, 0),
         lambda: derive_seed(0, bad),
-        lambda: chunk_stream(bad, 0),
-        lambda: chunk_stream(0, bad),
         lambda: sample_chunks(5, bad, _gamma),
     ):
         with pytest.raises(DomainError):
