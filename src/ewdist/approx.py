@@ -448,39 +448,24 @@ def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
     upper_ratio = np.exp(log_h - log_up)  # <= 1 when the upper bound holds
     lower_ratio = np.exp(log_h - log_lo)  # >= 1 when the lower bound holds
 
-    joint_violations = []
-    bad_up = np.argwhere(upper_ratio > 1.0 + _SLACK)
-    bad_lo = np.argwhere(lower_ratio < 1.0 - _SLACK)
-    for i, j in bad_up[:_MAX_VIOLATIONS]:
-        joint_violations.append(
-            {"side": "upper", "u": float(u_grid[i]), "w": float(w_grid[j]),
-             "ratio": float(upper_ratio[i, j])}
-        )
-    for i, j in bad_lo[:_MAX_VIOLATIONS]:
-        joint_violations.append(
-            {"side": "lower", "u": float(u_grid[i]), "w": float(w_grid[j]),
-             "ratio": float(lower_ratio[i, j])}
-        )
-
     marginal = marginal_w_density(w_grid, s)
     env_w = np.exp(log_env_w[0])
     plain_lower = marginal / env_w          # >= 1 iff env <= marginal
     scaled_upper = marginal / (a1 * env_w)  # <= 1 iff marginal <= a1 * env
     scaled_lower = marginal / (a2 * env_w)  # >= 1 iff a2 * env <= marginal
 
-    marginal_violations = []
-    for j in np.flatnonzero(plain_lower < 1.0 - _SLACK)[:_MAX_VIOLATIONS]:
-        marginal_violations.append(
-            {"side": "plain_lower", "w": float(w_grid[j]), "ratio": float(plain_lower[j])}
-        )
-    for j in np.flatnonzero(scaled_upper > 1.0 + _SLACK)[:_MAX_VIOLATIONS]:
-        marginal_violations.append(
-            {"side": "upper", "w": float(w_grid[j]), "ratio": float(scaled_upper[j])}
-        )
-    for j in np.flatnonzero(scaled_lower < 1.0 - _SLACK)[:_MAX_VIOLATIONS]:
-        marginal_violations.append(
-            {"side": "scaled_lower", "w": float(w_grid[j]), "ratio": float(scaled_lower[j])}
-        )
+    violations = {"joint": [], "marginal": []}
+    for part, side, ratio, failing in (
+        ("joint", "upper", upper_ratio, upper_ratio > 1.0 + _SLACK),
+        ("joint", "lower", lower_ratio, lower_ratio < 1.0 - _SLACK),
+        ("marginal", "plain_lower", plain_lower, plain_lower < 1.0 - _SLACK),
+        ("marginal", "upper", scaled_upper, scaled_upper > 1.0 + _SLACK),
+        ("marginal", "scaled_lower", scaled_lower, scaled_lower < 1.0 - _SLACK),
+    ):
+        for point in np.argwhere(failing)[:_MAX_VIOLATIONS]:
+            u = {"u": float(u_grid[point[0]])} if part == "joint" else {}
+            violations[part].append({"side": side, **u, "w": float(w_grid[point[-1]]),
+                                     "ratio": float(ratio[tuple(point)])})
 
     plain_ok = bool(plain_lower.min() >= 1.0 - _SLACK and scaled_upper.max() <= 1.0 + _SLACK)
     scaled_ok = bool(scaled_lower.min() >= 1.0 - _SLACK and scaled_upper.max() <= 1.0 + _SLACK)
@@ -494,8 +479,8 @@ def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
         "joint": {
             "upper_ratio_max": float(upper_ratio.max()),
             "lower_ratio_min": float(lower_ratio.min()),
-            "ok": bool(not joint_violations),
-            "violations": joint_violations,
+            "ok": bool(not violations["joint"]),
+            "violations": violations["joint"],
         },
         "marginal": {
             "plain_lower_ratio_min": float(plain_lower.min()),
@@ -503,6 +488,6 @@ def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
             "upper_ratio_max": float(scaled_upper.max()),
             "plain_sandwich_ok": plain_ok,
             "scaled_sandwich_ok": scaled_ok,
-            "violations": marginal_violations,
+            "violations": violations["marginal"],
         },
     }

@@ -7,17 +7,18 @@ neither overflows nor loses precision.  When the subset size equals the
 column count the weights over all subsets sum to 1 (Cauchy-Binet); for
 larger subsets of size k they sum to C(l - c, k - c).
 
-Every weight goes through `_weights`: one stacked matmul and slogdet per
-chunk of 2**15 subsets (the chunk bounds the stacked arrays), which give
-the same bits as per-subset 2-D calls; weights are formed with `math.exp`,
-as `np.exp` differs from it by one ulp on about 5% of them.
+Matrices are validated as one (n, l, c) stack (a single matrix is a stack
+of one), and every weight comes from `_weights` over (matrix, subset) pairs
+of it: one stacked matmul and slogdet per chunk of 2**15 pairs, which give
+the same bits as per-subset 2-D calls, then `math.exp`, as `np.exp` differs
+from it by one ulp on about 5% of the weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -51,23 +52,28 @@ class ElementalWeight:
 
 def as_design_matrix(x) -> np.ndarray:
     """Validate an l x c design matrix: 2-D, finite, full column rank."""
-    return _validated(x)[0]
+    return _validated(_stack_of_one(x))[0][0]
 
 
-def _validated(x):
-    """(arr, log|X'X|) of a valid design matrix, as `as_design_matrix` checks it."""
+def _stack_of_one(x) -> np.ndarray:
+    """A 2-D design matrix as a (1, l, c) stack, not yet validated."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise DomainError(f"design matrix must be 2-D, got shape {arr.shape}")
-    l, c = arr.shape
+    return arr[None]
+
+
+def _validated(stack: np.ndarray):
+    """(stack, log|X'X| per matrix) of an (n, l, c) stack of valid design matrices."""
+    l, c = stack.shape[1:]
     if l < c:
         raise DomainError(f"need at least as many rows as columns, got {l}x{c}")
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(stack)):
         raise DomainError("design matrix contains non-finite entries")
-    sign, log_full = np.linalg.slogdet(arr.T @ arr)
-    if sign <= 0:
+    sign, log_full = np.linalg.slogdet(np.swapaxes(stack, -1, -2) @ stack)
+    if np.any(sign <= 0):
         raise RankError("design matrix is rank deficient (|X'X| <= 0)")
-    return arr, float(log_full)
+    return stack, log_full
 
 
 def _check_subset(e, l: int) -> tuple:
@@ -88,41 +94,43 @@ def enumerate_elemental(l: int, p: int):
     return [tuple(c) for c in combinations(range(1, int(l) + 1), int(p) + 1)]
 
 
-def _weights(arr: np.ndarray, log_full: float, subsets) -> list:
-    """Weights of equal-size 0-based row subsets of a validated matrix, in order.
+def _weights(stack: np.ndarray, log_full: np.ndarray, subsets: np.ndarray) -> list:
+    """Weights of 0-based row subsets of a stack and its log|X'X|, as `_validated` gives them.
 
-    `log_full` is log|X'X| as `_validated` returns it.
+    `subsets` has shape (n, s, k), or (1, s, k) for the same s subsets of every
+    matrix; weight j * s + i, a float, is that of the pair (matrix j, subsets[j, i]).
     """
+    n, s = len(stack), subsets.shape[1]
+    subsets = np.broadcast_to(subsets, (n,) + subsets.shape[1:])
     out = []
-    it = iter(subsets)
-    while chunk := list(islice(it, _SUBSET_CHUNK)):
-        rows = arr[np.array(chunk)]
+    for lo in range(0, n * s, _SUBSET_CHUNK):
+        mat, sub = np.divmod(np.arange(lo, min(lo + _SUBSET_CHUNK, n * s)), s)
+        rows = stack[mat[:, None], subsets[mat, sub]]
         sign, log_e = np.linalg.slogdet(np.swapaxes(rows, -1, -2) @ rows)
-        out += [math.exp(le - log_full) if sg > 0 else 0.0
-                for sg, le in zip(sign.tolist(), log_e.tolist())]
+        out += [math.exp(d) if sg > 0 else 0.0
+                for sg, d in zip(sign.tolist(), (log_e - log_full[mat]).tolist())]
     return out
 
 
-def _subsets(l: int, k: int, cap: int):
-    """0-based k-subsets of range(l) in lexicographic order, at most `cap` of them."""
+def _subsets(l: int, k: int, cap: int) -> np.ndarray:
+    """(C(l, k), k) array of the 0-based k-subsets of range(l), lexicographic, at most `cap`."""
     count = math.comb(l, k)
     if count > cap:
         raise SizeError(
             f"C({l},{k}) = {count} subsets exceeds the cap {cap}; "
             "use sampled-sets mode instead"
         )
-    return combinations(range(l), k)
+    return np.array(list(combinations(range(l), k)), dtype=np.intp)
 
 
 def weight_of_set(x, e) -> float:
     """Gram-determinant share |X_E'X_E| / |X'X| of the row subset e (1-based)."""
-    arr, log_full = _validated(x)
-    idx = _check_subset(e, arr.shape[0])
-    if len(idx) < arr.shape[1]:
-        raise DomainError(
-            f"subset of size {len(idx)} cannot span {arr.shape[1]} columns"
-        )
-    return _weights(arr, log_full, [tuple(i - 1 for i in idx)])[0]
+    stack, log_full = _validated(_stack_of_one(x))
+    l, c = stack.shape[1:]
+    idx = _check_subset(e, l)
+    if len(idx) < c:
+        raise DomainError(f"subset of size {len(idx)} cannot span {c} columns")
+    return _weights(stack, log_full, np.array([[idx]]) - 1)[0]
 
 
 def all_weights(x, set_size: int | None = None, cap: int = ENUMERATION_CAP):
@@ -130,14 +138,15 @@ def all_weights(x, set_size: int | None = None, cap: int = ENUMERATION_CAP):
 
     With the default size the weights sum to 1 by Cauchy-Binet.
     """
-    arr, log_full = _validated(x)
-    l, c = arr.shape
+    stack, log_full = _validated(_stack_of_one(x))
+    l, c = stack.shape[1:]
     k = c if set_size is None else int(set_size)
     if k < c or k > l:
         raise DomainError(f"set size must lie in [{c}, {l}], got {k}")
-    weights = _weights(arr, log_full, _subsets(l, k, cap))
+    subsets = _subsets(l, k, cap)
+    weights = _weights(stack, log_full, subsets[None])
     return [ElementalWeight(tuple(i + 1 for i in combo), w)
-            for combo, w in zip(combinations(range(l), k), weights)]
+            for combo, w in zip(subsets.tolist(), weights)]
 
 
 def expected_weight_sum(l: int, cols: int, set_size: int) -> float:
@@ -212,27 +221,32 @@ def simulate_weight_distribution(
     subset per matrix.  Matrix j is `simulated_design(p, l, seed, j)` and
     draws its subset from Philox(SeedSequence([derive_seed(seed, 2j + 1)]));
     each of the two seed levels is keyed for all matrices in one array call.
+    Sampled-sets mode raises SizeError past C(l, dim+1) = 2**63 subsets.
     """
+    return _simulate(p, l, n_matrices, seed, mode, intercept, n_matrices)[2]
+
+
+def _simulate(p, l, n_matrices, seed, mode, intercept, n_designs):
+    """(stack, log|X'X|, weights): designs 0..n_designs-1 drawn and validated as one
+    stack, and the `simulate_weight_distribution` weights of the first n_matrices."""
     if mode not in ("all", "sampled-sets"):
         raise DomainError(f"mode must be 'all' or 'sampled-sets', got {mode!r}")
     if l < p.dim + 1:
         raise DomainError(f"need l >= dim+1 rows, got l={l}, dim={p.dim}")
     if n_matrices < 0:
         raise DomainError(f"n_matrices must be nonnegative, got {n_matrices}")
-    k = p.dim + 1
-    j = np.arange(int(n_matrices), dtype=np.uint64)
+    k, j = p.dim + 1, np.arange(int(n_designs), dtype=np.uint64)
     if mode == "all":
-        subsets = [list(_subsets(l, k, ENUMERATION_CAP))] * j.size
+        subsets = _subsets(l, k, ENUMERATION_CAP)[None]
     else:
         count = math.comb(l, k)
-        subsets = [[tuple(i - 1 for i in subset_by_rank(l, k, int(rng.integers(0, count))))]
-                   for rng in _seeded_streams(derive_seed(seed, 2 * j + 1))]
-    designs = simulated_design(p, l, seed, j, intercept)
-    out = []
-    for x, sets in zip(designs, subsets):
-        arr, log_full = _validated(x)
-        out.extend(_weights(arr, log_full, sets))
-    return np.array(out)
+        if count > 2**63:
+            raise SizeError(f"C({l},{k}) = {count} subsets exceeds 2**63, the rank draw's range")
+        ranks = [subset_by_rank(l, k, int(rng.integers(0, count)))
+                 for rng in _seeded_streams(derive_seed(seed, 2 * j[:n_matrices] + 1))]
+        subsets = np.array(ranks, dtype=np.intp).reshape(-1, 1, k) - 1
+    stack, log_full = _validated(simulated_design(p, l, seed, j, intercept))
+    return stack, log_full, np.array(_weights(stack[:n_matrices], log_full[:n_matrices], subsets))
 
 
 def load_design_csv(path) -> np.ndarray:

@@ -165,27 +165,27 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
     The product-law comparison is reported for both factor-count
     conventions (l - rho and l - rho - 1); neither is asserted.
     """
-    params = MvtParams(dim=int(rho), dof=float(nu), scale=np.eye(int(rho)))
-    weights = elemental.simulate_weight_distribution(
-        params, int(l), int(n_matrices), seed, mode=mode, intercept=intercept
+    rho, l, n_matrices = _validate_count("rho", rho), int(l), int(n_matrices)
+    params = MvtParams(dim=rho, dof=float(nu), scale=np.eye(rho))
+    stack, log_full, weights = elemental._simulate(
+        params, l, n_matrices, seed, mode, intercept, max(n_matrices, 1)
     )
 
-    # weight-sum check on the first generated matrix
-    first = elemental.simulated_design(params, int(l), seed, 0, intercept)
-    cols = first.shape[1]
-    k = int(rho) + 1
-    cb_sum = float(sum(ew.weight for ew in elemental.all_weights(first, set_size=k)))
+    # weight-sum check on matrix 0, drawn even when no weights are asked for
+    k = rho + 1
+    subsets = elemental._subsets(l, k, elemental.ENUMERATION_CAP)[None]
+    cb_sum = float(sum(elemental._weights(stack[:1], log_full[:1], subsets)))
 
     summary = {
         "cauchy_binet_sum_first_matrix": cb_sum,
-        "cauchy_binet_expected": elemental.expected_weight_sum(int(l), cols, k),
+        "cauchy_binet_expected": elemental.expected_weight_sum(l, stack.shape[2], k),
         "n_weights": weights.size,
     }
     eligible = weights[(weights > 0.0) & (weights < 1.0)]
-    for n2 in (int(l) - int(rho), int(l) - int(rho) - 1):
+    for n2 in (l - rho, l - rho - 1):
         key = f"ks_vs_product_n2_{n2}"
         if n2 >= 1 and eligible.size:
-            spec = product.ProductSpec(int(rho), n2)
+            spec = product.ProductSpec(rho, n2)
             res = goftests.ks_one_sample(
                 eligible, lambda x, sp=spec: product.omega_cdf_numeric(sp, x)
             )

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,27 @@ def test_elemental_negative_n_matrices_exits_2(tmp_path, capsys, mode):
          "--n-matrices", -3, "--mode", mode, "--out", out]
     ) == 2
     assert "n_matrices must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _address_space_cap():
+    # a regression that draws the designs before failing stops at 3 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--rho", "-1", "--l", "7"], "rho must be a positive integer, got -1"),
+    (["--rho", "2", "--l", "5000000", "--n-matrices", "1"], "subsets exceeds 2**63"),
+])
+def test_elemental_generate_bad_sizes_exit_2(tmp_path, args, message):
+    out = tmp_path / "gen.csv"
+    proc = run_python(
+        ["-m", "ewdist.cli", "elemental", "--generate", "--nu", "50", *args, "--out", str(out)],
+        capture_output=True, text=True, preexec_fn=_address_space_cap,
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from ewdist import elemental
 from ewdist.dist import MvtParams
 from ewdist.elemental import (
     all_weights,
@@ -213,6 +214,18 @@ def test_simulate_matches_per_matrix_reference(mode, intercept):
         assert np.array_equal(got, _reference_simulation(p, 7, 25, seed, mode, intercept))
 
 
+def test_simulate_sampled_rank_past_int64_raises_before_drawing(monkeypatch):
+    # C(4e6, 3) > 2**63: a 64-bit rank draw cannot reach every subset
+    count = math.comb(4_000_000, 3)
+    assert count > 2**63
+    drawn = []
+    monkeypatch.setattr(elemental, "simulated_design", lambda *args: drawn.append(args))
+    p = MvtParams(2, 50.0, np.eye(2))
+    with pytest.raises(SizeError, match=str(count)):
+        simulate_weight_distribution(p, 4_000_000, 1, 0)
+    assert not drawn
+
+
 def test_simulate_all_mode_over_cap_raises():
     p = MvtParams(2, 50.0, np.eye(2))
     with pytest.raises(SizeError):
@@ -331,6 +344,12 @@ def test_design_matrix_validation(rng, tmp_path):
         as_design_matrix(np.ones((4, 2)))
     with pytest.raises(DomainError):
         as_design_matrix(np.ones(4))
+    # the weight kernel validates stacks, the public functions only 2-D matrices
+    stack = np.stack([random_full_rank(rng, 4, 2)] * 2)
+    for call in (as_design_matrix, all_weights, lambda x: weight_of_set(x, (1, 2)),
+                 lambda x: chain_ratios(x, (1, 2))):
+        with pytest.raises(DomainError, match="must be 2-D"):
+            call(stack)
     path = tmp_path / "m.csv"
     path.write_text("1.0,2.0\nnot,numbers\n")
     with pytest.raises(DomainError):

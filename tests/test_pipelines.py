@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ewdist import approx, pipelines
-from ewdist.dist import beta_sample, w_sample
+from ewdist import approx, elemental, pipelines
+from ewdist.dist import MvtParams, beta_sample, w_sample
 from ewdist.errors import DomainError, RegimeError
 from ewdist.goftests import AD_CRITICAL, KS_CRITICAL, _ad_variance
 from ewdist.rng import derive_seed
@@ -159,6 +159,28 @@ def test_elemental_simulation_report_ks_keys():
     )
     assert 0.0 < summary["ks_vs_product_n2_5"] < 1.0
     assert 0.0 < summary["ks_vs_product_n2_4"] < 1.0
+
+
+@pytest.mark.parametrize("mode", ["sampled-sets", "all"])
+@pytest.mark.parametrize("n_matrices", [0, 5])
+def test_elemental_simulation_report_draws_each_design_once(monkeypatch, mode, n_matrices):
+    draws = []
+    sample = elemental.mvt_sample_rows
+
+    def spy(p, n_rows, seeds):
+        draws.append(seeds)
+        return sample(p, n_rows, seeds)
+
+    monkeypatch.setattr(elemental, "mvt_sample_rows", spy)
+    _, summary = pipelines.elemental_simulation_report(2, 50, 7, n_matrices, seed=9, mode=mode)
+    monkeypatch.undo()
+    # one draw of designs 0..max(n_matrices, 1) - 1; matrix 0 carries the weight-sum check
+    assert len(draws) == 1
+    assert np.array_equal(draws[0], derive_seed(9, 2 * np.arange(max(n_matrices, 1))))
+    first = elemental.simulated_design(MvtParams(2, 50.0, np.eye(2)), 7, 9, 0)
+    expected = float(sum(ew.weight for ew in elemental.all_weights(first, set_size=3)))
+    assert summary["cauchy_binet_sum_first_matrix"] == expected
+    assert summary["n_weights"] == n_matrices * (35 if mode == "all" else 1)
 
 
 def test_w_beta_gap_runs():
