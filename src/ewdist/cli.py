@@ -3,9 +3,10 @@
     ew <command> [flags] --seed U64 --out PATH [--format csv|json]
 
 Commands: simulate-w, compare-cdf, gof-table, omega, elemental,
-certify-bounds.  Exit codes: 0 success, 2 usage or domain error, 3 I/O
-failure, 4 numeric non-convergence.  A config file of key=value lines can
-pre-set any flag of the invoked command; explicit flags override it.
+certify-bounds.  Exit codes: 0 success, 2 usage or domain error or a size
+too large to allocate, 3 I/O failure, 4 numeric non-convergence.  A config
+file of key=value lines can pre-set any flag of the invoked command;
+explicit flags override it.
 Outputs are byte-identical for identical (flags, seed), whatever the
 number of worker threads.  On exit 4 the error's diagnostics follow the
 message on stderr as sorted key=value pairs.
@@ -25,13 +26,12 @@ import csv
 import json
 import re
 import sys
-from importlib import resources
 
 import numpy as np
 
-from . import approx, pipelines
+from . import approx, dist, pipelines
 from .elemental import load_design_csv
-from .errors import ConfigError, DomainError, NumericError, RankError, SizeError
+from .errors import ConfigError, DomainError, EwdistError, NumericError
 from .rng import _key_array
 
 __all__ = ["main", "build_parser"]
@@ -93,34 +93,18 @@ def _write_json(path, payload):
         fh.write(text + "\n")
 
 
-def _json_cell(value):
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
-def _table_payload(command, parameters, columns, summary):
-    return {
-        "command": command,
-        "parameters": {k: _json_cell(v) for k, v in parameters.items()},
-        "columns": list(columns),
-        "rows": list(zip(*(np.asarray(col).tolist() for col in columns.values()), strict=True)),
-        "summary": {k: _json_cell(v) for k, v in summary.items()},
-    }
-
-
-def _emit_table(args, command, columns, summary=None):
+def _emit_table(args, columns, summary=None):
     """Write an ordered {header: 1-D array or list} table and its summary."""
     summary = summary or {}
-    parameters = {
-        k: v for k, v in vars(args).items()
-        if k not in ("command", "func", "out", "format", "config", "gnuplot_script")
-        and v is not None
-    }
     if args.format == "json":
-        _write_json(args.out, _table_payload(command, parameters, columns, summary))
+        parameters = {
+            k: v for k, v in vars(args).items()
+            if k not in ("command", "func", "out", "format", "config", "gnuplot_script")
+            and v is not None
+        }
+        rows = zip(*(np.asarray(col).tolist() for col in columns.values()), strict=True)
+        _write_json(args.out, {"command": args.command, "parameters": parameters,
+                               "columns": list(columns), "rows": list(rows), "summary": summary})
     else:
         pad = ("",) * max(0, len(columns) - 2)
         _write_csv(args.out, columns, [(k, v) + pad for k, v in summary.items()])
@@ -144,25 +128,21 @@ def _emit_gnuplot(path, out_csv, n_rows, title, ycols):
 
 
 def _cmd_simulate_w(args):
-    from .dist import w_sample
-
-    sample = w_sample(args.m1, args.m2, args.nu, args.n, args.seed)
-    _emit_table(args, "simulate-w", {"index": np.arange(sample.size), "w": sample})
-    return 0
+    sample = dist.w_sample(args.m1, args.m2, args.nu, args.n, args.seed)
+    _emit_table(args, {"index": np.arange(sample.size), "w": sample})
 
 
 def _cmd_compare_cdf(args):
     columns, summary = pipelines.compare_cdf_rows(
         args.m1, args.m2, args.nu, args.n, args.grid_points, args.seed
     )
-    _emit_table(args, "compare-cdf", columns, summary)
+    _emit_table(args, columns, summary)
     if args.gnuplot_script:
         _emit_gnuplot(
             args.gnuplot_script, args.out, len(columns["w"]),
             f"W vs proposed Beta (m1={args.m1} m2={args.m2} nu={args.nu})",
             [(1, 2, "steps", "ECDF of W"), (1, 3, "lines", "proposed Beta CDF")],
         )
-    return 0
 
 
 def _read_grid_file(path):
@@ -189,22 +169,20 @@ def _cmd_gof_table(args):
     grid = _read_grid_file(args.grid) if args.grid else pipelines.DEFAULT_GOF_GRID
     rows = pipelines.gof_table_rows(grid, args.n, args.replications, args.seed)
     names = ("m1", "m2", "nu", "n", "rep", "ks", "ks_identical", "ad", "ad_identical")
-    _emit_table(args, "gof-table", {name: [r[i] for r in rows] for i, name in enumerate(names)})
-    return 0
+    _emit_table(args, {name: [r[i] for r in rows] for i, name in enumerate(names)})
 
 
 def _cmd_omega(args):
     columns, summary = pipelines.omega_rows(
         args.rho, args.n2, args.n, args.grid_points, args.seed
     )
-    _emit_table(args, "omega", columns, summary)
+    _emit_table(args, columns, summary)
     if args.gnuplot_script:
         _emit_gnuplot(
             args.gnuplot_script, args.out, columns["row_type"].count("cdf"),
             f"product law (rho={args.rho} n2={args.n2})",
             [(2, 3, "lines", "numeric CDF"), (2, 4, "steps", "Monte Carlo ECDF")],
         )
-    return 0
 
 
 def _cmd_elemental(args):
@@ -212,7 +190,6 @@ def _cmd_elemental(args):
         raise DomainError("pass either --matrix or --generate, not both")
     if args.matrix:
         columns, summary = pipelines.elemental_matrix_rows(load_design_csv(args.matrix))
-        _emit_table(args, "elemental", columns, summary)
     elif args.generate:
         for name in ("rho", "nu", "l"):
             if getattr(args, name) is None:
@@ -221,10 +198,9 @@ def _cmd_elemental(args):
             args.rho, args.nu, args.l, args.n_matrices, args.seed,
             mode=args.mode, intercept=args.intercept,
         )
-        _emit_table(args, "elemental", columns, summary)
     else:
         raise DomainError("elemental needs --matrix PATH or --generate")
-    return 0
+    _emit_table(args, columns, summary)
 
 
 def _parse_grid_spec(spec: str):
@@ -243,15 +219,9 @@ def _cmd_certify_bounds(args):
     n_u, n_w = _parse_grid_spec(args.grid)
     setting = approx.RatioSetting(args.m1, args.m2, args.nu1, args.nu2)
     report = approx.certify_bounds(setting, n_u=n_u, n_w=n_w)
-    report["command"] = "certify-bounds"
+    report["command"] = args.command
     report["seed"] = args.seed
     _write_json(args.out, report)
-    return 0
-
-
-def schema_text(name: str) -> str:
-    """Published JSON schema shipped with the package."""
-    return resources.files("ewdist.schemas").joinpath(name).read_text()
 
 
 def build_parser():
@@ -260,7 +230,6 @@ def build_parser():
         description="Beta approximation of F-variate ratios and elemental weight laws",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -269,7 +238,6 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--config", default=None, help="key=value file pre-setting flags")
         p.set_defaults(func=func)
-        registry[name] = p
         return p
 
     p = add("simulate-w", _cmd_simulate_w, help="draws of W = Y1/(Y1+Y2)")
@@ -316,7 +284,7 @@ def build_parser():
     p.add_argument("--grid", default="200x99", help="log-u x uniform-w grid, e.g. 200x99")
     p.set_defaults(format="json")
 
-    return parser, registry
+    return parser, sub.choices
 
 
 def _load_config_pairs(path):
@@ -333,61 +301,53 @@ def _load_config_pairs(path):
     return pairs
 
 
-def _inject_config(argv, registry):
+def _inject_config(argv, commands):
     """Expand --config into flag tokens placed before the explicit flags."""
-    path = None
-    rest = []
-    it = iter(range(len(argv)))
-    for i in it:
-        token = argv[i]
+    path, rest, tokens = None, [], iter(argv)
+    for token in tokens:
         if token == "--config":
-            if i + 1 >= len(argv):
+            path = next(tokens, None)
+            if path is None:
                 raise ConfigError("--config requires a path")
-            path = argv[i + 1]
-            next(it, None)
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
         else:
             rest.append(token)
     if path is None:
         return argv
-    if not rest or rest[0] not in registry:
+    if not rest or rest[0] not in commands:
         return rest  # let argparse report the usage error
-    command = rest[0]
-    subparser = registry[command]
-    known = {}
-    for action in subparser._actions:
-        for opt in action.option_strings:
-            known[opt] = action
-    tokens = []
+    actions = commands[rest[0]]._option_string_actions
+    preset = []
     for key, value in _load_config_pairs(path):
         opt = "--" + key.replace("_", "-").lstrip("-")
-        action = known.get(opt)
-        if action is None:
-            continue  # keys for other commands are allowed and ignored
+        action = actions.get(opt)  # keys for other commands are allowed and ignored
         if isinstance(action, argparse._StoreTrueAction):
             if value.lower() in ("1", "true", "yes", "on"):
-                tokens.append(opt)
-        else:
-            tokens.extend([opt, value])
-    return [command] + tokens + rest[1:]
+                preset.append(opt)
+        elif action is not None:
+            preset += [opt, value]
+    return rest[:1] + preset + rest[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser, commands = build_parser()
     try:
-        argv = _inject_config(argv, registry)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_inject_config(argv, commands))
         _key_array("seed", args.seed)
-        return args.func(args)
+        args.func(args)
+        return 0
     except NumericError as exc:
         print(f"ew: numeric failure: {exc}", file=sys.stderr)
         for key, value in sorted(exc.diagnostics.items()):
             print(f"ew:   {key}={value}", file=sys.stderr)
         return 4
-    except (DomainError, SizeError, ConfigError, RankError) as exc:
+    except EwdistError as exc:
         print(f"ew: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"ew: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"ew: i/o failure: {exc}", file=sys.stderr)

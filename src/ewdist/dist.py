@@ -99,16 +99,9 @@ def f_pdf(y, p: FParams):
 
 
 def f_cdf(y, p: FParams):
-    """F distribution function; 0 for y <= 0."""
-    arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.zeros(arr.shape, dtype=float)
-    pos = arr > 0.0
-    if pos.any():
-        t = p.m * arr[pos]
-        out[pos] = reg_inc_beta(t / (t + p.nu), 0.5 * p.m, 0.5 * p.nu)
-    if np.asarray(y).ndim == 0:
-        return float(out[0])
-    return out
+    """F distribution function; 0 for y <= 0, DomainError for NaN."""
+    t = p.m * np.maximum(np.asarray(y, dtype=float), 0.0)
+    return reg_inc_beta(t / (t + p.nu), 0.5 * p.m, 0.5 * p.nu)
 
 
 def f_sample(p: FParams, n: int, seed) -> np.ndarray:

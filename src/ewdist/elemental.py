@@ -25,11 +25,11 @@ import numpy as np
 from .dist import MvtParams, mvt_sample_rows
 from .errors import DomainError, RankError, SizeError
 from .rng import _seeded_streams, derive_seed
+from .specfun import _validate_count
 
 __all__ = [
     "ElementalWeight",
     "as_design_matrix",
-    "enumerate_elemental",
     "weight_of_set",
     "all_weights",
     "chain_ratios",
@@ -83,15 +83,6 @@ def _check_subset(e, l: int) -> tuple:
     if not idx or idx[0] < 1 or idx[-1] > l:
         raise DomainError(f"subset indices must lie in 1..{l}, got {e!r}")
     return idx
-
-
-def enumerate_elemental(l: int, p: int):
-    """All (p+1)-row subsets of {1..l} in lexicographic order."""
-    if not isinstance(l, (int, np.integer)) or not isinstance(p, (int, np.integer)):
-        raise DomainError("l and p must be integers")
-    if l < p + 1:
-        raise DomainError(f"need l >= p+1, got l={l}, p={p}")
-    return [tuple(c) for c in combinations(range(1, int(l) + 1), int(p) + 1)]
 
 
 def _weights(stack: np.ndarray, log_full: np.ndarray, subsets: np.ndarray) -> list:
@@ -192,6 +183,12 @@ def subset_by_rank(l: int, k: int, rank: int) -> tuple:
     return tuple(out)
 
 
+def _require_rows(l: int, dim: int):
+    """An elemental set of a dim-variate design has dim + 1 of its l rows."""
+    if l < dim + 1:
+        raise DomainError(f"need l >= dim+1 rows, got l={l}, dim={dim}")
+
+
 def simulated_design(p: MvtParams, l: int, seed: int, index, intercept: bool = False):
     """Design matrix `index` of `simulate_weight_distribution`, not yet validated.
 
@@ -231,10 +228,8 @@ def _simulate(p, l, n_matrices, seed, mode, intercept, n_designs):
     stack, and the `simulate_weight_distribution` weights of the first n_matrices."""
     if mode not in ("all", "sampled-sets"):
         raise DomainError(f"mode must be 'all' or 'sampled-sets', got {mode!r}")
-    if l < p.dim + 1:
-        raise DomainError(f"need l >= dim+1 rows, got l={l}, dim={p.dim}")
-    if n_matrices < 0:
-        raise DomainError(f"n_matrices must be nonnegative, got {n_matrices}")
+    _require_rows(l, p.dim)
+    n_matrices = _validate_count("n_matrices", n_matrices, least=0)
     k, j = p.dim + 1, np.arange(int(n_designs), dtype=np.uint64)
     if mode == "all":
         subsets = _subsets(l, k, ENUMERATION_CAP)[None]

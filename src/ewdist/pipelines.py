@@ -16,7 +16,7 @@ import numpy as np
 
 from . import approx, elemental, goftests, product
 from .dist import MvtParams, beta_cdf, beta_sample, w_sample
-from .errors import DomainError, RegimeError
+from .errors import RegimeError
 from .rng import derive_seed
 from .specfun import _validate_count
 
@@ -72,8 +72,7 @@ def w_beta_gap(m1, m2, nu, n, seed) -> float:
 def compare_cdf_rows(m1, m2, nu, n, grid_points, seed):
     """Columns w, ecdf_w, beta_cdf, abs_gap on a uniform w grid, plus md."""
     _require_approx_regime(m1, m2, nu)
-    if grid_points < 1:
-        raise DomainError("grid_points must be positive")
+    grid_points = _validate_count("grid_points", grid_points)
     shape = approx.approx_shape(m2)
     sample = np.sort(w_sample(m1, m2, nu, n, seed))
     emp = goftests.EmpiricalCdf(sample)
@@ -98,9 +97,7 @@ def gof_table_rows(grid, n, replications, seed):
     grid = [tuple(map(float, row)) for row in grid]
     for m1, m2, nu in grid:
         _require_approx_regime(m1, m2, nu)
-    replications = int(replications)
-    if replications < 0:
-        raise DomainError(f"replications must be nonnegative, got {replications}")
+    replications = _validate_count("replications", replications, least=0)
     n = _validate_count("sample size", n)
     if replications == 0:
         return []
@@ -129,8 +126,7 @@ def omega_rows(rho, n2, n, grid_points, seed):
     form, Monte Carlo mean of Omega^k) for k = 0..3.
     """
     spec = product.ProductSpec(rho, n2)
-    if grid_points < 1:
-        raise DomainError("grid_points must be positive")
+    grid_points = _validate_count("grid_points", grid_points)
     draws = np.sort(product.omega_sample(spec, n, seed))
     emp = goftests.EmpiricalCdf(draws)
     grid = np.linspace(1e-8, 1.0 - 1e-8, grid_points)
@@ -165,7 +161,8 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
     The product-law comparison is reported for both factor-count
     conventions (l - rho and l - rho - 1); neither is asserted.
     """
-    rho, l, n_matrices = _validate_count("rho", rho), int(l), int(n_matrices)
+    rho, l = _validate_count("rho", rho), int(l)
+    elemental._require_rows(l, rho)
     params = MvtParams(dim=rho, dof=float(nu), scale=np.eye(rho))
     stack, log_full, weights = elemental._simulate(
         params, l, n_matrices, seed, mode, intercept, max(n_matrices, 1)

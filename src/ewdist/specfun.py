@@ -17,9 +17,13 @@ from .errors import DomainError, NumericError
 __all__ = ["ln_gamma", "ln_beta", "reg_inc_beta"]
 
 
-def _validate_count(name, value) -> int:
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+def _validate_count(name, value, least=1) -> int:
+    """An integer count in [least, 2**63), least 0 or 1: a size numpy can index."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "a positive integer" if least else "nonnegative"
+        raise DomainError(f"{name} must be {kind}, got {value!r}")
+    if value >= 2**63:
+        raise DomainError(f"{name} must be below 2**63, got {value!r}")
     return int(value)
 
 

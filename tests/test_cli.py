@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +14,12 @@ import pytest
 
 import ewdist
 from ewdist import cli, dist, pipelines
-from ewdist.cli import build_parser, main, schema_text
+from ewdist.cli import build_parser, main
+
+
+def schema(name):
+    """A JSON schema shipped with the package."""
+    return json.loads(resources.files("ewdist.schemas").joinpath(name).read_text())
 
 
 def run_cli(args):
@@ -111,7 +117,7 @@ def test_gof_table_default_grid_and_json_schema(tmp_path):
     )
     assert code == 0
     payload = json.loads(out.read_text())
-    jsonschema.validate(payload, json.loads(schema_text("table-output.schema.json")))
+    jsonschema.validate(payload, schema("table-output.schema.json"))
     assert len(payload["rows"]) == 30
     assert payload["columns"][:3] == ["m1", "m2", "nu"]
 
@@ -163,7 +169,7 @@ def test_omega_nonpositive_grid_points_exit_2(tmp_path, capsys, points):
     assert run_cli(
         ["omega", "--rho", 2, "--n2", 3, "--n", 1000, "--grid-points", points, "--out", out]
     ) == 2
-    assert "grid_points must be positive" in capsys.readouterr().err
+    assert f"grid_points must be a positive integer, got {points}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -218,6 +224,7 @@ def _address_space_cap():
 @pytest.mark.parametrize("args, message", [
     (["--rho", "-1", "--l", "7"], "rho must be a positive integer, got -1"),
     (["--rho", "2", "--l", "5000000", "--n-matrices", "1"], "subsets exceeds 2**63"),
+    (["--rho", str(10**14), "--l", "7"], "need l >= dim+1 rows, got l=7"),
 ])
 def test_elemental_generate_bad_sizes_exit_2(tmp_path, args, message):
     out = tmp_path / "gen.csv"
@@ -255,7 +262,7 @@ def test_certify_bounds_json_schema_and_content(tmp_path):
          "--grid", "50x33", "--seed", 1, "--out", out]
     ) == 0
     report = json.loads(out.read_text())
-    jsonschema.validate(report, json.loads(schema_text("certify-bounds.schema.json")))
+    jsonschema.validate(report, schema("certify-bounds.schema.json"))
     assert report["a1_ge_1"] is True
     assert report["joint"]["upper_ratio_max"] <= 1.0 + 1e-9
     assert report["marginal"]["scaled_sandwich_ok"] is True
@@ -486,3 +493,71 @@ def test_table_bytes_match_reference_writer(case, fmt, tmp_path, monkeypatch):
 def test_csv_writer_refuses_cells_that_need_quoting(char, tmp_path):
     with pytest.raises(ValueError, match="quoting"):
         cli._write_csv(tmp_path / "x.csv", {"a": ["1 2", f"3{char}4"], "b": [0.5, 0.25]})
+
+
+# The degenerate-input sweep: each numeric flag of each command and --seed,
+# one at a time, at each of these values; the other flags stay small.
+SWEEP_BASES = {
+    "simulate-w": ["--m1", "3", "--m2", "2", "--nu", "50", "--n", "100"],
+    "compare-cdf": ["--m1", "3", "--m2", "2", "--nu", "50", "--n", "100", "--grid-points", "10"],
+    "gof-table": ["--n", "20", "--replications", "1"],
+    "omega": ["--rho", "2", "--n2", "3", "--n", "100", "--grid-points", "10"],
+    "elemental": ["--generate", "--rho", "2", "--nu", "50", "--l", "7", "--n-matrices", "5"],
+    "certify-bounds": ["--m1", "3", "--m2", "2", "--nu1", "50", "--nu2", "50"],
+}
+SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "abc", "2.5", str(2**70), str(10**14))
+
+# Runs the argv lists read from stdin through cli.main in one process and
+# prints the cases that break the contract, as JSON.
+SWEEP_CHILD = r"""
+import contextlib, io, json, sys, tempfile, traceback
+from pathlib import Path
+from ewdist import cli, rng
+
+def run(argv, out):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = 1
+            traceback.print_exc()
+    return code, err.getvalue()
+
+broken = []
+with tempfile.TemporaryDirectory() as tmp:
+    for i, argv in enumerate(json.load(sys.stdin)):
+        out = Path(tmp) / f"{i}.out"
+        code, err = run(argv, out)
+        if code not in (0, 2, 3, 4) or "Traceback" in err or (code and out.exists()):
+            broken.append([argv, code, err[-400:]])
+        elif code == 0:
+            first = out.read_bytes()
+            for cpus in (1, 4):
+                rng._available_cpus = lambda cpus=cpus: cpus
+                if run(argv, out)[0] != 0 or out.read_bytes() != first:
+                    broken.append([argv, f"bytes differ at {cpus} workers", ""])
+print(json.dumps(broken))
+"""
+
+
+def sweep_cases():
+    for command, base in SWEEP_BASES.items():
+        argv = [command, *base, "--seed", "1"]
+        for flag in [t for t in argv if t.startswith("--") and t != "--generate"]:
+            at = argv.index(flag) + 1
+            for value in SWEEP_VALUES:
+                yield argv[:at] + [value] + argv[at + 1:]
+
+
+def test_degenerate_input_sweep_keeps_the_exit_contract():
+    cases = list(sweep_cases())
+    assert len(cases) == 290
+    proc = run_python(
+        ["-c", SWEEP_CHILD], input=json.dumps(cases), capture_output=True, text=True,
+        preexec_fn=_address_space_cap,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

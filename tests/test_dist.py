@@ -62,6 +62,13 @@ def test_f_cdf_at_and_below_zero():
     assert f_cdf(-2.0, p) == 0.0
 
 
+def test_f_cdf_nan_raises():
+    # NaN is not "<= 0": it is outside the domain, as for f_pdf
+    for y in (float("nan"), np.array([1.0, np.nan])):
+        with pytest.raises(DomainError):
+            f_cdf(y, FParams(3, 50))
+
+
 def test_f_cdf_against_quadrature():
     p = FParams(3, 50)
     oracle, _ = quad(lambda y: f_pdf(y, p), 0, 2.0, limit=300)

@@ -10,7 +10,6 @@ from ewdist.elemental import (
     all_weights,
     as_design_matrix,
     chain_ratios,
-    enumerate_elemental,
     expected_weight_sum,
     load_design_csv,
     simulate_weight_distribution,
@@ -28,21 +27,6 @@ def random_full_rank(rng, l, c):
         x = rng.normal(size=(l, c))
         if np.linalg.matrix_rank(x) == c:
             return x
-
-
-def test_enumerate_counts_and_order():
-    subs = enumerate_elemental(5, 1)
-    assert len(subs) == 10
-    assert enumerate_elemental(3, 2) == [(1, 2, 3)]
-    subs7 = enumerate_elemental(7, 2)
-    assert len(subs7) == 35
-    assert subs7[0] == (1, 2, 3)
-    assert subs7 == sorted(subs7)
-
-
-def test_enumerate_domain():
-    with pytest.raises(DomainError):
-        enumerate_elemental(3, 3)
 
 
 def test_weight_of_full_set_is_one(rng):
