@@ -16,7 +16,7 @@ import numpy as np
 
 from . import approx, elemental, goftests, product
 from .dist import MvtParams, beta_cdf, beta_sample, w_sample
-from .errors import RegimeError
+from .errors import RegimeError, SizeError
 from .rng import derive_seed
 from .specfun import _validate_count
 
@@ -163,6 +163,8 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
     """
     rho, l = _validate_count("rho", rho), int(l)
     elemental._require_rows(l, rho)
+    if 8 * l * rho >= 2**63:  # as l > rho, this also bounds the rho x rho scale matrix
+        raise SizeError(f"an l x rho = {l} x {rho} float64 design exceeds 2**63 bytes")
     params = MvtParams(dim=rho, dof=float(nu), scale=np.eye(rho))
     stack, log_full, weights = elemental._simulate(
         params, l, n_matrices, seed, mode, intercept, max(n_matrices, 1)

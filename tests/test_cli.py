@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -58,8 +59,9 @@ def test_compare_cdf_regime_violation_exits_2(tmp_path, capsys):
 
 
 def test_byte_identical_reruns_and_thread_independence(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4096)  # 24 full blocks, so the writer forks too
     runs = {}
-    for tag, cpus in (("a", 1), ("b", 4), ("c", 1)):
+    for tag, cpus in (("a", 1), ("b", 2), ("c", 4), ("d", 1)):
         monkeypatch.setattr("ewdist.rng._available_cpus", lambda: cpus)
         out = tmp_path / f"{tag}.csv"
         assert run_cli(
@@ -67,7 +69,7 @@ def test_byte_identical_reruns_and_thread_independence(tmp_path, monkeypatch):
              "--seed", 11, "--out", out]
         ) == 0
         runs[tag] = out.read_bytes()
-    assert runs["a"] == runs["b"] == runs["c"]
+    assert runs["a"] == runs["b"] == runs["c"] == runs["d"]
 
 
 def test_numeric_failure_exits_4_with_diagnostics(tmp_path, monkeypatch, capsys):
@@ -106,6 +108,11 @@ def test_certify_bounds_numeric_failure_exits_4_with_diagnostics(tmp_path, monke
 
 def test_cli_import_leaves_scipy_integrate_out():
     code = "import sys, ewdist.cli; sys.exit('scipy.integrate' in sys.modules)"
+    assert run_python(["-c", code]).returncode == 0
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    code = "import sys, ewdist.cli; sys.exit('multiprocessing' in sys.modules)"
     assert run_python(["-c", code]).returncode == 0
 
 
@@ -225,6 +232,7 @@ def _address_space_cap():
     (["--rho", "-1", "--l", "7"], "rho must be a positive integer, got -1"),
     (["--rho", "2", "--l", "5000000", "--n-matrices", "1"], "subsets exceeds 2**63"),
     (["--rho", str(10**14), "--l", "7"], "need l >= dim+1 rows, got l=7"),
+    (["--rho", str(10**14), "--l", str(10**14 + 1)], "float64 design exceeds 2**63 bytes"),
 ])
 def test_elemental_generate_bad_sizes_exit_2(tmp_path, args, message):
     out = tmp_path / "gen.csv"
@@ -493,6 +501,70 @@ def test_table_bytes_match_reference_writer(case, fmt, tmp_path, monkeypatch):
 def test_csv_writer_refuses_cells_that_need_quoting(char, tmp_path):
     with pytest.raises(ValueError, match="quoting"):
         cli._write_csv(tmp_path / "x.csv", {"a": ["1 2", f"3{char}4"], "b": [0.5, 0.25]})
+
+
+def test_csv_body_formatted_in_workers_matches_reference_writer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)  # 1,000 rows: 15 full blocks and a partial one
+    floats = np.random.default_rng(6).normal(size=1000) * 10.0 ** np.arange(-10, 10).repeat(50)
+    floats[[0, 100, 500, 640, 998, 999]] = [-0.0, 1e-05, 1e16, 5e-324, np.inf, np.nan]
+    columns = {
+        "i": np.arange(1000), "x": floats, "flag": np.arange(1000) % 3 == 0,
+        "s": [f"{i} {i + 1}" for i in range(1000)],
+    }
+    summary = {"md": 0.125, "n": 1000}
+    footer = [(k, v, "", "") for k, v in summary.items()]
+    rows = list(zip(*(np.asarray(col).tolist() for col in columns.values())))
+    expected = ref_csv_bytes(list(columns), rows, summary)
+    out = tmp_path / "body.csv"
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr("ewdist.rng._available_cpus", lambda: cpus)
+        cli._write_csv(out, columns, footer)
+        assert out.read_bytes() == expected, cpus
+        assert multiprocessing.active_children() == []
+
+    # a worker's error reaches the parent with its type and message
+    monkeypatch.setattr("ewdist.rng._available_cpus", lambda: 2)
+    columns["s"][-1] = "999,1000"
+    with pytest.raises(ValueError, match="quoting"):
+        cli._write_csv(out, columns, footer)
+    assert multiprocessing.active_children() == []
+
+    def no_memory(values):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli, "_column_cells", no_memory)
+    argv = ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 1000, "--out", out]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "ew: out of memory: Unable to allocate 1.00 TiB\n"
+    assert multiprocessing.active_children() == []
+
+
+# A CSV worker killed mid-body (as the kernel's out-of-memory killer would).
+KILLED_WORKER_CHILD = r"""
+import multiprocessing, os, signal
+from concurrent.futures.process import BrokenProcessPool
+import numpy as np
+from ewdist import cli, rng
+
+parent, real = os.getpid(), cli._column_cells
+
+def killed(values):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(values)
+
+cli._BLOCK_ROWS, cli._column_cells = 64, killed
+rng._available_cpus = lambda: 2
+try:
+    cli._write_csv(os.devnull, {"x": np.arange(1000.0)})
+except BrokenProcessPool:
+    print(len(multiprocessing.active_children()))
+"""
+
+
+def test_killed_csv_worker_fails_the_command_instead_of_hanging():
+    proc = run_python(["-c", KILLED_WORKER_CHILD], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 # The degenerate-input sweep: each numeric flag of each command and --seed,
