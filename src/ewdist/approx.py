@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainccinv, expit
 
-from .dist import BetaShape, _positive
+from .dist import BetaShape, _log_beta_pdf, _log_beta_prime, _positive
 from .errors import DomainError, NumericError, RegimeError
 from .specfun import _validate_count, _validate_open_unit, _validate_positive, ln_beta
 
@@ -74,6 +74,28 @@ CERTIFICATE_SETTINGS = (
     (30.0, 25.0, 50.0, 50.0),
 )
 
+# The envelope-bound regime, one (text, test) pair per condition; each
+# u-envelope on its own needs only its side's condition
+_LOWER_NEEDS = ("m1 - m2 + 2*nu1 > 0", lambda s: s.m1 - s.m2 + 2.0 * s.nu1 > 0)
+_UPPER_NEEDS = ("nu2 > m1", lambda s: s.nu2 > s.m1)
+_REGIME = (
+    ("m1 - m2 > nu2 - nu1", lambda s: s.m1 - s.m2 > s.nu2 - s.nu1),
+    ("m1/nu1 >= m2/nu2", lambda s: s.m1 / s.nu1 >= s.m2 / s.nu2),
+    _LOWER_NEEDS,
+    _UPPER_NEEDS,
+)
+
+# Per side: the condition its u-envelope needs, its law as `_u_law`
+# returns it, and the lead term of its log constant, given t1
+_SIDES = {
+    "upper": (_UPPER_NEEDS, lambda s: (
+        s.m2, s.nu2, 0.5 * (s.m1 + s.m2), 0.5 * (s.nu2 - s.m1), 0.5 * (s.m2 + s.nu2)),
+        lambda s, t1: 0.5 * s.m1 * math.log(s.m1 * s.nu2 / (s.m2 * s.nu1))),
+    "lower": (_LOWER_NEEDS, lambda s: (
+        s.m1, 2.0 * s.nu1, 0.5 * (s.m1 + s.m2), 0.5 * (s.m1 - s.m2 + 2.0 * s.nu1), s.m1 + s.nu1),
+        lambda s, t1: t1 * math.log(2.0) + 0.5 * s.m2 * math.log(s.m2 * s.nu1 / (s.m1 * s.nu2))),
+}
+
 
 @dataclass(frozen=True)
 class RatioSetting:
@@ -88,21 +110,8 @@ class RatioSetting:
         for name in ("m1", "m2", "nu1", "nu2"):
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
 
-    def bound_regime_violations(self) -> list[str]:
-        """Conditions of the envelope-bound regime that fail, if any."""
-        bad = []
-        if not self.m1 - self.m2 > self.nu2 - self.nu1:
-            bad.append("m1 - m2 > nu2 - nu1")
-        if not self.m1 / self.nu1 >= self.m2 / self.nu2:
-            bad.append("m1/nu1 >= m2/nu2")
-        if not self.m1 - self.m2 + 2.0 * self.nu1 > 0:
-            bad.append("m1 - m2 + 2*nu1 > 0")
-        if not self.nu2 > self.m1:
-            bad.append("nu2 > m1")
-        return bad
-
     def require_bound_regime(self):
-        bad = self.bound_regime_violations()
+        bad = [text for text, holds in _REGIME if not holds(self)]
         if bad:
             raise RegimeError(
                 f"setting {self} violates the bound regime: {', '.join(bad)}"
@@ -115,72 +124,42 @@ def approx_shape(m2) -> BetaShape:
     return BetaShape((m2 + 0.5) / 2.0, m2 / 2.0)
 
 
-def _log_w_envelope(w, m1, m2):
-    return (
-        (0.5 * m1 - 1.0) * np.log(w)
-        + (0.5 * m2 - 1.0) * np.log1p(-w)
-        - ln_beta(0.5 * m1, 0.5 * m2)
-    )
-
-
 def w_envelope_density(w, m1, m2):
     """Beta(m1/2, m2/2) density: the w-factor of both envelope products."""
     m1 = _positive("m1", m1)
     m2 = _positive("m2", m2)
     arr = _validate_open_unit("w", w)
-    out = np.exp(_log_w_envelope(arr, m1, m2))
+    out = np.exp(_log_beta_pdf(arr, 0.5 * m1, 0.5 * m2))
     return float(out) if out.ndim == 0 else out
 
 
-def _upper_beta_args(s: RatioSetting):
-    return 0.5 * (s.m1 + s.m2), 0.5 * (s.nu2 - s.m1)
+def _u_law(s: RatioSetting, side: str):
+    """(a, b, t1, t2, e): a*u/b is BetaPrime(t1, t2) under the `side` u-envelope.
+
+    e = t1 + t2, computed from the degrees of freedom, not as that sum (it
+    can round differently).  `RegimeError` if the side's condition fails.
+    """
+    (text, holds), law, _ = _SIDES[side]
+    if not holds(s):
+        raise RegimeError(f"{side} envelope needs {text}, got {s}")
+    return law(s)
 
 
-def _lower_beta_args(s: RatioSetting):
-    return 0.5 * (s.m1 + s.m2), 0.5 * (s.m1 - s.m2 + 2.0 * s.nu1)
-
-
-def _require_upper_args(s: RatioSetting):
-    if s.nu2 <= s.m1:
-        raise RegimeError(f"upper envelope needs nu2 > m1, got {s}")
-
-
-def _require_lower_args(s: RatioSetting):
-    if s.m1 - s.m2 + 2.0 * s.nu1 <= 0:
-        raise RegimeError(f"lower envelope needs m1 - m2 + 2*nu1 > 0, got {s}")
-
-
-def _log_u_upper(u, s: RatioSetting):
-    t1, t2 = _upper_beta_args(s)
-    return (
-        t1 * np.log(s.m2 / s.nu2)
-        + (t1 - 1.0) * np.log(u)
-        - 0.5 * (s.m2 + s.nu2) * np.log1p(s.m2 * u / s.nu2)
-        - ln_beta(t1, t2)
-    )
-
-
-def _log_u_lower(u, s: RatioSetting):
-    t1, t2 = _lower_beta_args(s)
-    return (
-        t1 * np.log(s.m1 / (2.0 * s.nu1))
-        + (t1 - 1.0) * np.log(u)
-        - (s.m1 + s.nu1) * np.log1p(s.m1 * u / (2.0 * s.nu1))
-        - ln_beta(t1, t2)
-    )
+def _log_u(u, s: RatioSetting, side: str):
+    """Log density of the `side` u-envelope at u > 0 (validated here)."""
+    law = _u_law(s, side)
+    return _log_beta_prime(_validate_positive("u", u), *law)
 
 
 def u_envelope_upper_density(u, s: RatioSetting):
     """u-factor of the upper envelope product; integrates to 1 on (0, inf)."""
-    _require_upper_args(s)
-    out = np.exp(_log_u_upper(_validate_positive("u", u), s))
+    out = np.exp(_log_u(u, s, "upper"))
     return float(out) if out.ndim == 0 else out
 
 
 def u_envelope_lower_density(u, s: RatioSetting):
     """u-factor of the lower envelope product; integrates to 1 on (0, inf)."""
-    _require_lower_args(s)
-    out = np.exp(_log_u_lower(_validate_positive("u", u), s))
+    out = np.exp(_log_u(u, s, "lower"))
     return float(out) if out.ndim == 0 else out
 
 
@@ -213,39 +192,24 @@ def joint_density(u, w, s: RatioSetting):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_upper_constant(s: RatioSetting):
-    t1, t2 = _upper_beta_args(s)
-    return (
-        0.5 * s.m1 * math.log(s.m1 * s.nu2 / (s.m2 * s.nu1))
-        + ln_beta(t1, t2)
-        + ln_beta(0.5 * s.m1, 0.5 * s.m2)
-        - ln_beta(0.5 * s.m1, 0.5 * s.nu1)
-        - ln_beta(0.5 * s.m2, 0.5 * s.nu2)
-    )
-
-
-def _log_lower_constant(s: RatioSetting):
-    t1, t2 = _lower_beta_args(s)
-    return (
-        t1 * math.log(2.0)
-        + 0.5 * s.m2 * math.log(s.m2 * s.nu1 / (s.m1 * s.nu2))
-        + ln_beta(t1, t2)
-        + ln_beta(0.5 * s.m1, 0.5 * s.m2)
-        - ln_beta(0.5 * s.m1, 0.5 * s.nu1)
-        - ln_beta(0.5 * s.m2, 0.5 * s.nu2)
-    )
+def _log_constant(s: RatioSetting, side: str):
+    """Log of the closed-form constant scaling the `side` envelope product."""
+    _, _, t1, t2, _ = _u_law(s, side)
+    *_, lead = _SIDES[side]
+    return (lead(s, t1) + ln_beta(t1, t2) + ln_beta(0.5 * s.m1, 0.5 * s.m2)
+            - ln_beta(0.5 * s.m1, 0.5 * s.nu1) - ln_beta(0.5 * s.m2, 0.5 * s.nu2))
 
 
 def upper_constant(s: RatioSetting) -> float:
     """Closed-form constant scaling the upper envelope product."""
     s.require_bound_regime()
-    return math.exp(_log_upper_constant(s))
+    return math.exp(_log_constant(s, "upper"))
 
 
 def lower_constant(s: RatioSetting) -> float:
     """Closed-form constant scaling the lower envelope product."""
     s.require_bound_regime()
-    return math.exp(_log_lower_constant(s))
+    return math.exp(_log_constant(s, "lower"))
 
 
 def u_tail_cutoff(s: RatioSetting, tail: float = 1e-12) -> float:
@@ -254,15 +218,14 @@ def u_tail_cutoff(s: RatioSetting, tail: float = 1e-12) -> float:
     Under the upper u-envelope, y = x/(1+x) with x = m2*u/nu2 is
     Beta(t1, t2), so the cutoff is the closed-form upper quantile of y.
     """
-    _require_upper_args(s)
+    a, b, t1, t2, _ = _u_law(s, "upper")
     tail = float(tail)
     if not 0.0 < tail < 1.0:
         raise DomainError(f"tail must lie strictly inside (0, 1), got {tail!r}")
-    t1, t2 = _upper_beta_args(s)
     y = float(betainccinv(t1, t2, tail))
     if not y < 1.0:
         raise NumericError("u tail cutoff is not finite", setting=str(s), tail=tail)
-    return s.nu2 / s.m2 * y / (1.0 - y)
+    return b / a * y / (1.0 - y)
 
 
 def _t_slope(t, log_alpha, log_beta, s: RatioSetting):
@@ -430,8 +393,8 @@ def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
     side are listed with their ratios rather than hidden.
     """
     s.require_bound_regime()
-    log_a1 = _log_upper_constant(s)
-    log_a2 = _log_lower_constant(s)
+    log_a1 = _log_constant(s, "upper")
+    log_a2 = _log_constant(s, "lower")
     a1 = math.exp(log_a1)
     a2 = math.exp(log_a2)
 
@@ -441,9 +404,9 @@ def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
     uu, ww = np.meshgrid(u_grid, w_grid, indexing="ij")
 
     log_h = _log_joint(uu, ww, s, _log_k0(s))
-    log_env_w = _log_w_envelope(ww, s.m1, s.m2)
-    log_up = log_a1 + _log_u_upper(uu, s) + log_env_w
-    log_lo = log_a2 + _log_u_lower(uu, s) + log_env_w
+    log_env_w = _log_beta_pdf(ww, 0.5 * s.m1, 0.5 * s.m2)
+    log_up = log_a1 + _log_u(uu, s, "upper") + log_env_w
+    log_lo = log_a2 + _log_u(uu, s, "lower") + log_env_w
 
     upper_ratio = np.exp(log_h - log_up)  # <= 1 when the upper bound holds
     lower_ratio = np.exp(log_h - log_lo)  # >= 1 when the lower bound holds

@@ -3,10 +3,10 @@
     ew <command> [flags] --seed U64 --out PATH [--format csv|json]
 
 Commands: simulate-w, compare-cdf, gof-table, omega, elemental,
-certify-bounds.  Exit codes: 0 success, 2 usage or domain error or a size
-too large to allocate, 3 I/O failure, 4 numeric non-convergence.  A config
-file of key=value lines can pre-set any flag of the invoked command;
-explicit flags override it.
+certify-bounds.  Exit codes: 0 success, 2 usage or domain error, a size too
+large to allocate or a killed worker process, 3 I/O failure, 4 numeric
+non-convergence.  A config file of key=value lines can pre-set any flag of
+the invoked command; explicit flags override it.
 Outputs are byte-identical for identical (flags, seed), whatever the
 number of worker threads or processes.  On exit 4 the error's diagnostics
 follow the message on stderr as sorted key=value pairs.
@@ -27,8 +27,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -109,11 +111,19 @@ def _write_csv(path, columns, footer=()):
 
 
 def _write_csv_text(path, columns, body, footer):
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(",".join(_unquoted(list(columns))) + "\r\n")
-        fh.writelines(body)
-        for row in footer:
-            fh.write(",".join(_unquoted(list(map(_fmt, row)))) + "\r\n")
+    """Write the table.  If a write, the flush or the close fails, a regular,
+    non-symlink `path` is removed; /dev/stdout and symlinks are left alone."""
+    fh = open(path, "w", newline="", encoding="ascii")
+    try:
+        with fh:
+            fh.write(",".join(_unquoted(list(columns))) + "\r\n")
+            fh.writelines(body)
+            for row in footer:
+                fh.write(",".join(_unquoted(list(map(_fmt, row)))) + "\r\n")
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
 
 
 def _write_json(path, payload):
@@ -377,6 +387,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         print(f"ew: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except BrokenExecutor as exc:
+        print(f"ew: a worker process was killed, e.g. for lack of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"ew: i/o failure: {exc}", file=sys.stderr)

@@ -88,14 +88,16 @@ def f_pdf(y, p: FParams):
     """F density at y > 0, evaluated in log space."""
     arr = _validate_positive("y", y)
     m, nu = p.m, p.nu
-    logpdf = (
-        0.5 * m * np.log(m / nu)
-        + (0.5 * m - 1.0) * np.log(arr)
-        - 0.5 * (m + nu) * np.log1p(m * arr / nu)
-        - ln_beta(0.5 * m, 0.5 * nu)
-    )
-    out = np.exp(logpdf)
+    out = np.exp(_log_beta_prime(arr, m, nu, 0.5 * m, 0.5 * nu, 0.5 * (m + nu)))
     return float(out) if out.ndim == 0 else out
+
+
+def _log_beta_prime(x, a, b, t1, t2, e):
+    """Log density at validated x > 0 of the law under which a*x/b is
+    BetaPrime(t1, t2); e is t1 + t2 as the caller computes it."""
+    return (
+        t1 * np.log(a / b) + (t1 - 1.0) * np.log(x) - e * np.log1p(a * x / b) - ln_beta(t1, t2)
+    )
 
 
 def f_cdf(y, p: FParams):
@@ -115,15 +117,14 @@ def f_sample(p: FParams, n: int, seed) -> np.ndarray:
     return sample_chunks(n, seed, draw)
 
 
+def _log_beta_pdf(x, alpha, beta):
+    """Log Beta(alpha, beta) density at validated x in (0, 1)."""
+    return (alpha - 1.0) * np.log(x) + (beta - 1.0) * np.log1p(-x) - ln_beta(alpha, beta)
+
+
 def beta_pdf(x, s: BetaShape):
     """Beta density on (0, 1), log-space evaluation."""
-    arr = _validate_open_unit("x", x)
-    logpdf = (
-        (s.alpha - 1.0) * np.log(arr)
-        + (s.beta - 1.0) * np.log1p(-arr)
-        - ln_beta(s.alpha, s.beta)
-    )
-    out = np.exp(logpdf)
+    out = np.exp(_log_beta_pdf(_validate_open_unit("x", x), s.alpha, s.beta))
     return float(out) if out.ndim == 0 else out
 
 

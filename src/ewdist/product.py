@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import betaincinv
+from scipy.special import betaincinv, digamma
 
 from .approx import approx_shape
 from .dist import beta_pdf, beta_cdf
@@ -77,20 +77,20 @@ def omega_moment(spec: ProductSpec, k) -> float:
 
 def omega_log_moment(spec: ProductSpec) -> float:
     """Closed-form E[-ln Omega] = n2 * (psi(a+b) - psi(a))."""
-    from scipy.special import digamma
-
     shape = spec.factor_shape
     return spec.n2 * float(digamma(shape.alpha + shape.beta) - digamma(shape.alpha))
 
 
 @lru_cache(maxsize=32)
 def _log_grid(rho: int, n2: int):
-    """Convolved cell masses of Z = sum of -ln(factor), cached per spec.
+    """Law of Z = sum of -ln(factor) as interpolation tables, cached per spec.
 
-    Returns (positions, masses, cum, dz): point masses at positions
-    z_J = (J + n2/2) dz, where each factor's per-cell mass is the exact
-    incomplete-beta difference and the n2-fold convolution is done by FFT
-    power on a zero-padded grid (linear, not circular).
+    The n2-fold convolution of each factor's per-cell masses (the exact
+    incomplete-beta differences), done by FFT power on a zero-padded grid
+    (linear, not circular), puts point masses at centres
+    z_J = (J + n2/2) dz.  Returns (edges, cdf, centres, pdf): the CDF of Z
+    with each mass spread over its dz-wide cell, as its values at the cell
+    edges, and the density mass/dz at the centres.  `np.interp` reads both.
     """
     spec = ProductSpec(rho, n2)
     shape = spec.factor_shape
@@ -112,25 +112,9 @@ def _log_grid(rho: int, n2: int):
     if not 0.99 < total < 1.01:
         raise NumericError("convolution mass drifted", total=float(total), spec=str(spec))
     conv = conv / total  # absorb the truncated per-factor tail (< n2 * 1e-12)
-    positions = (np.arange(conv.size) + 0.5 * n2) * dz
-    return positions, conv, np.cumsum(conv), dz
-
-
-def _cdf_z(z, rho: int, n2: int):
-    """P(Z <= z) with each point mass spread over its dz-wide cell."""
-    positions, masses, cum, dz = _log_grid(rho, n2)
-    knots = np.concatenate(([positions[0] - 0.5 * dz], positions + 0.5 * dz))
-    values = np.concatenate(([0.0], cum))
-    return np.interp(z, knots, values)
-
-
-def _pdf_z(z, rho: int, n2: int):
-    positions, masses, _, dz = _log_grid(rho, n2)
-    return np.interp(z, positions, masses / dz, left=0.0, right=0.0)
-
-
-def _check_grid(grid) -> np.ndarray:
-    return np.atleast_1d(_validate_open_unit("evaluation points", grid))
+    centres = (np.arange(conv.size) + 0.5 * n2) * dz
+    edges = np.concatenate(([centres[0] - 0.5 * dz], centres + 0.5 * dz))
+    return edges, np.concatenate(([0.0], np.cumsum(conv))), centres, conv / dz
 
 
 def omega_pdf_numeric(spec: ProductSpec, grid):
@@ -138,24 +122,21 @@ def omega_pdf_numeric(spec: ProductSpec, grid):
 
     A single factor needs no convolution and is returned in closed form.
     """
-    arr = _check_grid(grid)
+    arr = _validate_open_unit("evaluation points", grid)
     if spec.n2 == 1:
         out = beta_pdf(arr, spec.factor_shape)
     else:
-        z = -np.log(arr)
-        out = _pdf_z(z, spec.rho, spec.n2) / arr
-    if np.asarray(grid).ndim == 0:
-        return float(np.asarray(out).reshape(-1)[0])
-    return out
+        _, _, centres, pdf = _log_grid(spec.rho, spec.n2)
+        out = np.interp(-np.log(arr), centres, pdf, left=0.0, right=0.0) / arr
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def omega_cdf_numeric(spec: ProductSpec, w):
     """Distribution function of the product at the given (0,1) points."""
-    arr = _check_grid(w)
+    arr = _validate_open_unit("evaluation points", w)
     if spec.n2 == 1:
         out = beta_cdf(arr, spec.factor_shape)
     else:
-        out = 1.0 - _cdf_z(-np.log(arr), spec.rho, spec.n2)
-    if np.asarray(w).ndim == 0:
-        return float(np.asarray(out).reshape(-1)[0])
-    return out
+        edges, cdf, _, _ = _log_grid(spec.rho, spec.n2)
+        out = 1.0 - np.interp(-np.log(arr), edges, cdf)
+    return float(out) if np.ndim(out) == 0 else out

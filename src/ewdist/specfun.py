@@ -46,7 +46,7 @@ def ln_gamma(a):
     """Natural log of the gamma function for a > 0 (scalar or array)."""
     arr = _validate_positive("a", a)
     out = gammaln(arr)
-    return float(out) if np.isscalar(a) or arr.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def ln_beta(a, b):
@@ -54,8 +54,7 @@ def ln_beta(a, b):
     aa = _validate_positive("a", a)
     bb = _validate_positive("b", b)
     out = gammaln(aa) + gammaln(bb) - gammaln(aa + bb)
-    scalar = (np.isscalar(a) or aa.ndim == 0) and (np.isscalar(b) or bb.ndim == 0)
-    return float(out) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 def reg_inc_beta(x, a, b):
@@ -79,6 +78,4 @@ def reg_inc_beta(x, a, b):
             a=float(np.max(aa)),
             b=float(np.max(bb)),
         )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out

@@ -23,8 +23,10 @@ from ewdist.approx import (
     upper_constant,
     w_envelope_density,
 )
-from ewdist.dist import FParams, f_pdf
+from ewdist.dist import BetaShape, FParams, _log_beta_pdf, beta_pdf, f_pdf
 from ewdist.errors import DomainError, NumericError, RegimeError
+from ewdist.pipelines import DEFAULT_GOF_GRID
+from ewdist.specfun import ln_beta
 
 
 def mp_constants(m1, m2, nu1, nu2):
@@ -160,8 +162,8 @@ def test_constant_prefactor_collapses_at_equal_params():
     s = RatioSetting(3, 3, 50, 50)
     a1_ref, a2_ref = mp_constants(3, 3, 50, 50)
     assert (s.m1 * s.nu2 / (s.m2 * s.nu1)) ** (s.m1 / 2) == 1.0
-    assert math.exp(approx._log_upper_constant(s)) == pytest.approx(a1_ref, rel=1e-12)
-    assert math.exp(approx._log_lower_constant(s)) == pytest.approx(a2_ref, rel=1e-12)
+    assert math.exp(approx._log_constant(s, "upper")) == pytest.approx(a1_ref, rel=1e-12)
+    assert math.exp(approx._log_constant(s, "lower")) == pytest.approx(a2_ref, rel=1e-12)
 
 
 def test_constants_require_regime():
@@ -173,6 +175,105 @@ def test_constants_require_regime():
         upper_constant(RatioSetting(60, 2, 50, 50))
     with pytest.raises(RegimeError, match="upper envelope needs"):
         u_tail_cutoff(RatioSetting(60, 2, 50, 50))
+
+
+@pytest.mark.parametrize(
+    "density,setting,message",
+    [
+        (u_envelope_upper_density, RatioSetting(60, 2, 50, 50), "upper envelope needs nu2 > m1"),
+        (u_envelope_lower_density, RatioSetting(2, 50, 1, 50),
+         "lower envelope needs m1 - m2 + 2*nu1 > 0"),
+    ],
+)
+def test_u_envelope_regime_error_messages(density, setting, message):
+    with pytest.raises(RegimeError) as info:
+        density(1.0, setting)
+    assert str(info.value) == f"{message}, got {setting}"
+
+
+# Reference: each envelope formula written out per side, as in the closed
+# forms; the shared `_u_law`, `_log_u`, `_log_constant` and `_log_beta_pdf`
+# must reproduce them bit for bit.
+def ref_upper_beta_args(s):
+    return 0.5 * (s.m1 + s.m2), 0.5 * (s.nu2 - s.m1)
+
+
+def ref_lower_beta_args(s):
+    return 0.5 * (s.m1 + s.m2), 0.5 * (s.m1 - s.m2 + 2.0 * s.nu1)
+
+
+def ref_log_u_upper(u, s):
+    t1, t2 = ref_upper_beta_args(s)
+    return (
+        t1 * np.log(s.m2 / s.nu2)
+        + (t1 - 1.0) * np.log(u)
+        - 0.5 * (s.m2 + s.nu2) * np.log1p(s.m2 * u / s.nu2)
+        - ln_beta(t1, t2)
+    )
+
+
+def ref_log_u_lower(u, s):
+    t1, t2 = ref_lower_beta_args(s)
+    return (
+        t1 * np.log(s.m1 / (2.0 * s.nu1))
+        + (t1 - 1.0) * np.log(u)
+        - (s.m1 + s.nu1) * np.log1p(s.m1 * u / (2.0 * s.nu1))
+        - ln_beta(t1, t2)
+    )
+
+
+def ref_log_upper_constant(s):
+    t1, t2 = ref_upper_beta_args(s)
+    return (
+        0.5 * s.m1 * math.log(s.m1 * s.nu2 / (s.m2 * s.nu1))
+        + ln_beta(t1, t2)
+        + ln_beta(0.5 * s.m1, 0.5 * s.m2)
+        - ln_beta(0.5 * s.m1, 0.5 * s.nu1)
+        - ln_beta(0.5 * s.m2, 0.5 * s.nu2)
+    )
+
+
+def ref_log_lower_constant(s):
+    t1, t2 = ref_lower_beta_args(s)
+    return (
+        t1 * math.log(2.0)
+        + 0.5 * s.m2 * math.log(s.m2 * s.nu1 / (s.m1 * s.nu2))
+        + ln_beta(t1, t2)
+        + ln_beta(0.5 * s.m1, 0.5 * s.m2)
+        - ln_beta(0.5 * s.m1, 0.5 * s.nu1)
+        - ln_beta(0.5 * s.m2, 0.5 * s.nu2)
+    )
+
+
+def ref_log_w_envelope(w, m1, m2):
+    return (
+        (0.5 * m1 - 1.0) * np.log(w)
+        + (0.5 * m2 - 1.0) * np.log1p(-w)
+        - ln_beta(0.5 * m1, 0.5 * m2)
+    )
+
+
+# At the last setting, with degrees of freedom that are not dyadic, each
+# side's e differs from t1 + t2 in the last bit, so e taken as that sum fails
+@pytest.mark.parametrize(
+    "setting",
+    list(CERTIFICATE_SETTINGS) + [(m1, m2, nu, nu) for m1, m2, nu in DEFAULT_GOF_GRID]
+    + [(6.7, 2.1, 50.3, 50.3)],
+)
+def test_shared_envelope_formulas_match_per_side_reference_bit_for_bit(setting):
+    s = RatioSetting(*setting)
+    u = np.logspace(-4.0, math.log10(u_tail_cutoff(s, 1e-10)), 200)  # certify_bounds' u grid
+    w = default_w_grid()
+    assert approx._u_law(s, "upper")[2:4] == ref_upper_beta_args(s)
+    assert approx._u_law(s, "lower")[2:4] == ref_lower_beta_args(s)
+    assert np.array_equal(approx._log_u(u, s, "upper"), ref_log_u_upper(u, s))
+    assert np.array_equal(approx._log_u(u, s, "lower"), ref_log_u_lower(u, s))
+    assert approx._log_constant(s, "upper") == ref_log_upper_constant(s)
+    assert approx._log_constant(s, "lower") == ref_log_lower_constant(s)
+    assert np.array_equal(_log_beta_pdf(w, 0.5 * s.m1, 0.5 * s.m2),
+                          ref_log_w_envelope(w, s.m1, s.m2))
+    assert np.array_equal(w_envelope_density(w, s.m1, s.m2),
+                          beta_pdf(w, BetaShape(s.m1 / 2, s.m2 / 2)))
 
 
 def test_marginal_normalizes():

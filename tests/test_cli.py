@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import multiprocessing
@@ -536,12 +537,13 @@ def test_csv_body_formatted_in_workers_matches_reference_writer(tmp_path, monkey
     argv = ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 1000, "--out", out]
     assert run_cli(argv) == 2
     assert capsys.readouterr().err == "ew: out of memory: Unable to allocate 1.00 TiB\n"
+    assert not out.exists()
     assert multiprocessing.active_children() == []
 
 
 # A CSV worker killed mid-body (as the kernel's out-of-memory killer would).
-KILLED_WORKER_CHILD = r"""
-import multiprocessing, os, signal
+KILLED_WORKER_SETUP = r"""
+import multiprocessing, os, signal, sys
 from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 from ewdist import cli, rng
@@ -555,6 +557,9 @@ def killed(values):
 
 cli._BLOCK_ROWS, cli._column_cells = 64, killed
 rng._available_cpus = lambda: 2
+"""
+
+KILLED_WORKER_CHILD = KILLED_WORKER_SETUP + r"""
 try:
     cli._write_csv(os.devnull, {"x": np.arange(1000.0)})
 except BrokenProcessPool:
@@ -565,6 +570,51 @@ except BrokenProcessPool:
 def test_killed_csv_worker_fails_the_command_instead_of_hanging():
     proc = run_python(["-c", KILLED_WORKER_CHILD], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+KILLED_WORKER_MAIN_CHILD = KILLED_WORKER_SETUP + r"""
+out = sys.argv[1]
+code = cli.main(["simulate-w", "--m1", "3", "--m2", "2", "--nu", "50", "--n", "1000", "--out", out])
+print(code, len(multiprocessing.active_children()))
+"""
+
+
+def test_killed_csv_worker_exits_2_and_leaves_no_output(tmp_path):
+    out = tmp_path / "w.csv"
+    proc = run_python(["-c", KILLED_WORKER_MAIN_CHILD, str(out)], capture_output=True, text=True,
+                      timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "2 0\n"), proc.stderr
+    assert proc.stderr.startswith("ew: a worker process was killed, e.g. for lack of memory: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_csv_write_failing_at_close_removes_the_file_but_not_a_symlink(tmp_path, monkeypatch,
+                                                                         capsys):
+    real_open = open
+
+    def full_disk_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        close = fh.close
+
+        def close_on_full_disk():  # the last buffer's flush fails, as on a full disk
+            close()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.close = close_on_full_disk
+        return fh
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    out = tmp_path / "w.csv"
+    argv = ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 100, "--out", out]
+    assert run_cli(argv) == 3
+    assert capsys.readouterr().err == "ew: i/o failure: [Errno 28] No space left on device\n"
+    assert not out.exists()
+    # a symlinked --out (such as /dev/stdout) is left alone
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    assert run_cli(argv[:-1] + [link]) == 3
+    assert link.is_symlink() and (tmp_path / "target.csv").exists()
 
 
 # The degenerate-input sweep: each numeric flag of each command and --seed,

@@ -19,12 +19,32 @@ from ewdist.dist import (
 )
 from ewdist.errors import ConfigError, DomainError
 from ewdist.goftests import ks_one_sample
+from ewdist.specfun import ln_beta
 
 
 def test_f_pdf_small_y_limit_m2():
     # with m = 2 the density tends to 1 as y -> 0+
     for nu in (5.0, 50.0):
         assert f_pdf(1e-12, FParams(2, nu)) == pytest.approx(1.0, abs=1e-9)
+
+
+# Reference: the F log-density written out, as in its closed form; f_pdf,
+# which shares the scaled beta-prime kernel with the u-envelopes, must
+# reproduce it bit for bit
+def ref_f_logpdf(y, m, nu):
+    return (
+        0.5 * m * np.log(m / nu)
+        + (0.5 * m - 1.0) * np.log(y)
+        - 0.5 * (m + nu) * np.log1p(m * y / nu)
+        - ln_beta(0.5 * m, 0.5 * nu)
+    )
+
+
+@pytest.mark.parametrize("m, nu", [(2.0, 5.0), (3.0, 50.0), (2.5, 50.0), (6.7, 50.3), (150.0, 11.0)])
+def test_f_pdf_matches_closed_form_bit_for_bit(m, nu):
+    y = np.logspace(-6.0, 4.0, 200)
+    assert np.array_equal(f_pdf(y, FParams(m, nu)), np.exp(ref_f_logpdf(y, m, nu)))
+    assert f_pdf(0.7, FParams(m, nu)) == float(np.exp(ref_f_logpdf(0.7, m, nu)))
 
 
 def test_f_pdf_normalizes():

@@ -1,0 +1,81 @@
+"""Run the Tier-1 suite and write its verdict as JSON.
+
+    python tests/tier1_verdict.py [--json PATH]
+
+Runs `pytest -q --continue-on-collection-errors` on this directory and
+writes {"outcomes": {outcome: [node ids]}, "unexpected": [...], "ok": bool}
+to PATH (default tier1_verdict.json).  Outcomes are passed, failed, error
+(setup, teardown or collection), skipped, xfailed and xpassed.  Exits 0
+only when the failures are exactly the two by-design ones (c2b and c3),
+nothing errors, and nothing is skipped, xfailed or xpassed, so that a new
+failure cannot hide behind them.  Not collected: the name has no `test_`
+prefix.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+BY_DESIGN_FAILURES = (
+    "tests/test_acceptance.py::test_c2b_table_anomaly_ordering",
+    "tests/test_acceptance.py::test_c3_marginal_sandwich_certificate",
+)
+OUTCOMES = ("passed", "failed", "error", "skipped", "xfailed", "xpassed")
+
+
+class Outcomes:
+    """pytest plugin: node ids by outcome."""
+
+    def __init__(self):
+        self.ids = {outcome: [] for outcome in OUTCOMES}
+
+    def pytest_collectreport(self, report):
+        if report.failed:
+            self.ids["error"].append(report.nodeid)
+
+    def pytest_runtest_logreport(self, report):
+        if hasattr(report, "wasxfail"):
+            outcome = "xfailed" if report.skipped else "xpassed"
+        elif report.when == "call" or report.skipped:
+            outcome = report.outcome
+        elif report.failed:
+            outcome = "error"
+        else:
+            return  # a passing setup or teardown
+        self.ids[outcome].append(report.nodeid)
+
+
+def verdict(ids: dict) -> list[str]:
+    """What breaks the Tier-1 contract, one line each; empty when it holds."""
+    unexpected = [f"failed: {i}" for i in ids["failed"] if i not in BY_DESIGN_FAILURES]
+    unexpected += [f"did not fail (by design it does): {i}" for i in BY_DESIGN_FAILURES
+                   if i not in ids["failed"]]
+    unexpected += [f"{outcome}: {i}" for outcome in ("error", "skipped", "xfailed", "xpassed")
+                   for i in ids[outcome]]
+    return unexpected
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--json", default="tier1_verdict.json", help="verdict file to write")
+    args = parser.parse_args(argv)
+    plugin = Outcomes()
+    tests = str(Path(__file__).resolve().parent)
+    pytest.main(["-q", "--continue-on-collection-errors", tests], plugins=[plugin])
+    unexpected = verdict(plugin.ids)
+    with open(args.json, "w", encoding="utf-8") as fh:
+        json.dump({"outcomes": plugin.ids, "unexpected": unexpected, "ok": not unexpected},
+                  fh, indent=2)
+        fh.write("\n")
+    for line in unexpected:
+        print(f"tier1: {line}", file=sys.stderr)
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
