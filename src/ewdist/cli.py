@@ -18,8 +18,11 @@ ever quoted; a string cell that would need quoting (a comma, a double
 quote, CR or LF) raises ValueError instead.  Summary values follow the body
 as key,value rows.  A body of at least two full 65,536-row blocks is
 formatted in forked worker processes, one per available CPU up to the
-number of full blocks; the parent writes the blocks in order, so the bytes
-never depend on the worker count.
+number of blocks; the parent writes the blocks in order, so the bytes
+never depend on the worker count.  `gof-table` may also run its grid rows
+in forked workers (see `pipelines.gof_table_rows`); both pools are
+`rng._fork_map`, and a worker's error or death reaches `main` like any
+other, as exit 2.
 """
 
 from __future__ import annotations
@@ -86,28 +89,19 @@ def _block_text(block) -> str:
 
 
 def _write_csv(path, columns, footer=()):
-    """Header, then the body `_BLOCK_ROWS` rows at a time, each column formatted once."""
+    """Header, then the body `_BLOCK_ROWS` rows at a time, each column formatted once.
+
+    A body of two or more full blocks is formatted in forked workers, which
+    start before the file is opened; the blocks are written in order.
+    """
     n_rows = len(next(iter(columns.values())))
     blocks = ([col[start:start + _BLOCK_ROWS] for col in columns.values()]
               for start in range(0, n_rows, _BLOCK_ROWS))
-    workers = min(rng._available_cpus(), n_rows // _BLOCK_ROWS)
-    if workers < 2:
+    if n_rows < 2 * _BLOCK_ROWS:  # too little text to repay the fork
         _write_csv_text(path, columns, map(_block_text, blocks), footer)
         return
-    # imported here, so that importing the CLI stays as cheap as before
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Fork, not spawn: a spawned worker would import this module, numpy and
-    # scipy again (~0.4 s), more than the pool saves on a 140k-row body.
-    # Workers only format text: they call no BLAS, use no logger and take no
-    # lock, so forking beside OpenBLAS's idle threads is safe.  `map` forks
-    # them before the output file is opened, so no worker inherits it; a
-    # killed worker raises BrokenProcessPool rather than hanging, and leaving
-    # the `with` joins every worker.
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-        _write_csv_text(path, columns, pool.map(_block_text, blocks), footer)
+    with rng._fork_map(_block_text, blocks) as body:
+        _write_csv_text(path, columns, body, footer)
 
 
 def _write_csv_text(path, columns, body, footer):

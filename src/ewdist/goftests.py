@@ -5,7 +5,9 @@ The two-sample tests are row-wise kernels: `ks_two_sample_rows` and
 `ad_two_sample_rows` test each row of a (R x n1) array against the same
 row of a (R x n2) array with one sort of the pooled rows, reading both
 ECDFs at the ends of tie groups; `ks_two_sample` and `ad_two_sample` are
-their one-row calls.  The two-sample Anderson-Darling statistic is the
+their one-row calls.  A caller that needs both statistics of the same rows
+sorts them once with `_pooled_rows` and hands the result to `_ks_rows` and
+`_ad_rows`.  The two-sample Anderson-Darling statistic is the
 midrank (tie-tolerant) version, standardized as (A2 - mean)/sd so
 agreement gives values near or below zero.  Critical values use
 asymptotic Kolmogorov quantiles for KS and the standardized two-sample
@@ -146,16 +148,21 @@ def _results(stats, crit, n1, n2, alpha) -> list:
     return [GofResult(s, n1, alpha, crit, s < crit, n2=n2) for s in stats.tolist()]
 
 
+def _ks_rows(pooled, alpha) -> list:
+    """Two-sample KS of each pooled row: sup |ECDF_a - ECDF_b| at its tie-group ends."""
+    crit = _critical(KS_CRITICAL, alpha)
+    n1, n2, from_a, upto, ends = pooled
+    gap = np.abs(from_a / n1 - (upto - from_a) / n2)
+    stats = np.where(ends, gap, 0.0).max(axis=1)
+    return _results(stats, float(crit * np.sqrt((n1 + n2) / (n1 * n2))), n1, n2, alpha)
+
+
 def ks_two_sample_rows(a, b, alpha: float = 0.01) -> list:
     """Two-sample KS of each row of a (R x n1) against the same row of b (R x n2).
 
     sup |ECDF_a - ECDF_b|, taken at the ends of the pooled row's tie groups.
     """
-    crit = _critical(KS_CRITICAL, alpha)
-    n1, n2, from_a, upto, ends = _pooled_rows(a, b)
-    gap = np.abs(from_a / n1 - (upto - from_a) / n2)
-    stats = np.where(ends, gap, 0.0).max(axis=1)
-    return _results(stats, float(crit * np.sqrt((n1 + n2) / (n1 * n2))), n1, n2, alpha)
+    return _ks_rows(_pooled_rows(a, b), alpha)
 
 
 def ks_two_sample(a, b, alpha: float = 0.01) -> GofResult:
@@ -183,13 +190,10 @@ def _ad_variance(n_samples: int, sizes) -> float:
     )
 
 
-def ad_two_sample_rows(a, b, alpha: float = 0.01) -> list:
-    """Standardized two-sample Anderson-Darling of each row of a (R x n1) against b (R x n2).
-
-    Midrank form: each tie group of the pooled row enters once, at its end.
-    """
+def _ad_rows(pooled, alpha) -> list:
+    """Standardized midrank two-sample AD of each pooled row."""
     crit = _critical(AD_CRITICAL, alpha)
-    n1, n2, from_a, upto, ends = _pooled_rows(a, b)
+    n1, n2, from_a, upto, ends = pooled
     n_total = n1 + n2
     if n_total < 4:
         raise DomainError(f"the AD variance needs at least 4 pooled values, got {n_total}")
@@ -206,6 +210,14 @@ def ad_two_sample_rows(a, b, alpha: float = 0.01) -> list:
     a2 *= (n_total - 1.0) / n_total
     stats = (a2 - 1.0) / np.sqrt(_ad_variance(2, (n1, n2)))
     return _results(stats, float(crit), n1, n2, alpha)
+
+
+def ad_two_sample_rows(a, b, alpha: float = 0.01) -> list:
+    """Standardized two-sample Anderson-Darling of each row of a (R x n1) against b (R x n2).
+
+    Midrank form: each tie group of the pooled row enters once, at its end.
+    """
+    return _ad_rows(_pooled_rows(a, b), alpha)
 
 
 def ad_two_sample(a, b, alpha: float = 0.01) -> GofResult:

@@ -6,15 +6,19 @@ columns plus a summary dict (`gof_table_rows` returns row tuples).  All
 replication loops derive child seeds by index, so each row depends only on
 its seed and parameters.  `gof_table_rows` derives every seed of the table
 in a few array calls, draws each grid row's replications into two
-(replications x n) arrays and tests them with one row-wise KS and one
-row-wise AD call.
+(replications x n) arrays, sorts the pooled rows once and reads both the
+KS and the AD statistic from that sort.  A table of at least `_FORK_DRAWS`
+W draws runs its grid rows in forked worker processes (`rng._fork_map`):
+the seeds are all derived before any worker starts and each grid row is a
+function of its own seeds, so the rows, joined in grid order, never depend
+on the worker count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import approx, elemental, goftests, product
+from . import approx, elemental, goftests, product, rng
 from .dist import MvtParams, beta_cdf, beta_sample, w_sample
 from .errors import RegimeError, SizeError
 from .rng import derive_seed
@@ -50,6 +54,13 @@ DEFAULT_GOF_GRID = (
     (40, 25, 50), (40, 25, 150),
 )
 
+# Fewest W draws (grid rows x replications x n) for which gof_table_rows
+# runs its grid rows in forked workers.  In fresh `ew gof-table` processes
+# on the 30-row grid at n = 200 (2 CPUs, medians of 9), serial and forked
+# took 74 and 78 ms at 10 replications, about the same at 15, and 136 and
+# 110 ms at 20: the fork (~25 ms) pays from about 15 replications on.
+_FORK_DRAWS = 90_000
+
 # the eight CDF-comparison panels at nu = 50; (2, 1) appears twice as printed
 FIGURE_PAIRS = ((1, 1), (2, 1), (2, 1), (3, 2), (11, 5), (12, 5), (11, 10), (12, 10))
 
@@ -84,6 +95,20 @@ def compare_cdf_rows(m1, m2, nu, n, grid_points, seed):
     return columns, {"md": float(gaps.max())}
 
 
+def _gof_grid_row(item) -> list:
+    """The table rows of one grid row: draw its replications, then test them.
+
+    `item` is ((m1, m2, nu), n, w_seeds, ref_seeds), one seed per replication.
+    """
+    (m1, m2, nu), n, w_seeds, ref_seeds = item
+    w = w_sample(m1, m2, nu, n, w_seeds)
+    ref = beta_sample(approx.approx_shape(m2), n, ref_seeds)
+    pooled = goftests._pooled_rows(w, ref)  # one sort feeds both statistics
+    ks, ad = goftests._ks_rows(pooled, 0.01), goftests._ad_rows(pooled, 0.01)
+    return [(m1, m2, nu, n, rep, k.statistic, k.identical, a.statistic, a.identical)
+            for rep, (k, a) in enumerate(zip(ks, ad))]
+
+
 def gof_table_rows(grid, n, replications, seed):
     """One row per grid entry per replication, two-sample mode.
 
@@ -92,7 +117,9 @@ def gof_table_rows(grid, n, replications, seed):
     Beta sample from derive_seed(s, 1), s = derive_seed(derive_seed(seed, i), rep).
     The seeds of the whole table are derived by array calls, each grid row's
     replications drawn as two (replications x n) arrays and tested in one KS
-    and one AD call at the kernels' default level, alpha = 0.01.
+    and one AD pass at alpha = 0.01.  A table of at least `_FORK_DRAWS` W
+    draws runs its grid rows in forked worker processes; every row is a
+    function of its own seeds, and the rows are joined in grid order.
     """
     grid = [tuple(map(float, row)) for row in grid]
     for m1, m2, nu in grid:
@@ -105,17 +132,11 @@ def gof_table_rows(grid, n, replications, seed):
     rep_seeds = derive_seed(derive_seed(seed, np.arange(len(grid)))[:, None],
                             np.arange(replications))
     w_seeds, ref_seeds = derive_seed(rep_seeds, 0), derive_seed(rep_seeds, 1)
-    rows = []
-    for (m1, m2, nu), w_seed, ref_seed in zip(grid, w_seeds, ref_seeds):
-        w = w_sample(m1, m2, nu, n, w_seed)
-        ref = beta_sample(approx.approx_shape(m2), n, ref_seed)
-        ks = goftests.ks_two_sample_rows(w, ref)
-        ad = goftests.ad_two_sample_rows(w, ref)
-        rows += [
-            (m1, m2, nu, n, rep, k.statistic, k.identical, a.statistic, a.identical)
-            for rep, (k, a) in enumerate(zip(ks, ad))
-        ]
-    return rows
+    items = [(row, n, w, ref) for row, w, ref in zip(grid, w_seeds, ref_seeds)]
+    if len(grid) * replications * n < _FORK_DRAWS:
+        return [row for item in items for row in _gof_grid_row(item)]
+    with rng._fork_map(_gof_grid_row, items) as parts:
+        return [row for part in parts for row in part]
 
 
 def omega_rows(rho, n2, n, grid_points, seed):

@@ -17,6 +17,12 @@ chunks, concatenated in chunk order, so the result depends only on
 Chunks run on one thread per CPU available to the process, capped at the
 chunk count; a single chunk runs in the calling thread.
 
+`_fork_map` is the one process pool: it maps a module-level function over
+items in forked workers and returns the results in item order.  The CSV
+writer formats blocks of a large body with it, and `gof-table` runs its
+grid rows with it; every item carries its own seeds, so no output depends
+on how many workers ran.
+
 There is one derivation: ``_seed_state`` computes the ``SeedSequence``
 arithmetic over whole arrays of seeds and indices, scalars included, and
 ``tests/test_rng.py`` checks it bit for bit against numpy's ``SeedSequence``.
@@ -24,8 +30,10 @@ arithmetic over whole arrays of seeds and indices, scalars included, and
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -69,13 +77,13 @@ def _key_array(name: str, value) -> np.ndarray:
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = 16
 _MAX_WORDS = 6  # three 64-bit entries
 
 
-def _hash_steps(init: int, mult: int, count: int) -> np.ndarray:
-    """(xor, mul) uint32 pairs of `count` steps of a running hash constant.
+def _hash_steps(init: int, mult: int, count: int):
+    """(xor, mul) uint32 columns of `count` steps of a running hash constant.
 
     Step t xors the value with the constant, multiplies the constant by
     `mult`, then multiplies the value by the new constant.
@@ -85,26 +93,31 @@ def _hash_steps(init: int, mult: int, count: int) -> np.ndarray:
         nxt = h * mult & 0xFFFFFFFF
         steps.append((h, nxt))
         h = nxt
-    return np.array(steps, dtype=np.uint32)[:, :, None]
+    xor, mul = np.array(steps, dtype=np.uint32).T[:, :, None]
+    return xor, mul
 
 
 # mix_entropy's hashmix calls in order: the pool fill, 4 x 3 cross mixes,
 # then 4 per entropy word past the pool
-_MIX_STEPS = _hash_steps(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (_MAX_WORDS - _POOL))
-_FILL = _MIX_STEPS[:_POOL]
-_CROSS = [(src, [dst for dst in range(_POOL) if dst != src],
-           _MIX_STEPS[_POOL + 3 * src:_POOL + 3 * src + 3]) for src in range(_POOL)]
-_EXTRA = [_MIX_STEPS[_POOL * w:_POOL * (w + 1)] for w in range(_POOL, _MAX_WORDS)]
+_MIX_XOR, _MIX_MUL = _hash_steps(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (_MAX_WORDS - _POOL))
+_FILL = _MIX_XOR[:_POOL], _MIX_MUL[:_POOL]
+_CROSS = [(src, np.array([dst for dst in range(_POOL) if dst != src]),
+           (_MIX_XOR[_POOL + 3 * src:_POOL + 3 * src + 3],
+            _MIX_MUL[_POOL + 3 * src:_POOL + 3 * src + 3])) for src in range(_POOL)]
+_EXTRA = [(_MIX_XOR[_POOL * w:_POOL * (w + 1)], _MIX_MUL[_POOL * w:_POOL * (w + 1)])
+          for w in range(_POOL, _MAX_WORDS)]
 _OUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 4)  # generate_state: up to two uint64 words
+_LOW, _HIGH = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _hashmix(value: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    value = (value ^ steps[:, 0]) * steps[:, 1]
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    xor, mul = steps
+    value = (value ^ xor) * mul
     return value ^ (value >> _XSHIFT)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    result = _MIX_L * x - _MIX_R * y
     return result ^ (result >> _XSHIFT)
 
 
@@ -116,33 +129,36 @@ def _seed_state(columns, n64: int) -> np.ndarray:
     does: one word below 2**32 (0 included), two otherwise.  An element's
     words are laid out in a zero-padded (words x elements) array; padding
     up to the pool size is what numpy's fill does, and the words past it
-    are mixed in only where an element has them.
+    are mixed in only where an element has them.  An entry shared by every
+    element (a 0-d column, such as a tag) is split once, in Python.
     """
-    columns = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint64) for c in columns))
-    shape, size = columns[0].shape, columns[0].size
-    words = np.zeros((_MAX_WORDS, size), dtype=np.uint32)
-    at = np.zeros(size, dtype=np.intp)
-    elems = np.arange(size)
+    columns = [np.asarray(c, dtype=np.uint64) for c in columns]
+    shape = np.broadcast(*columns).shape
+    size = math.prod(shape)
+    words = np.zeros(_MAX_WORDS * size, dtype=np.uint32)  # (words x elements), flat
+    at = np.arange(size)  # flat index of each element's next word
     for col in columns:
-        col = col.reshape(-1)
-        hi = (col >> np.uint64(32)).astype(np.uint32)
-        words[at, elems] = col.astype(np.uint32)  # the low word
-        at += 1
-        two = hi != 0
-        words[at[two], elems[two]] = hi[two]
-        at += two
+        if col.ndim:
+            col = np.broadcast_to(col, shape).reshape(-1)
+            lo, hi = col & _LOW, (col >> _HIGH).astype(np.uint32)
+        else:  # one entry for every element: split it once
+            lo, hi = int(col) & 0xFFFFFFFF, int(col) >> 32
+        words[at + size] = hi  # a one-word entry's 0 here is overwritten next, or is padding
+        words[at] = lo
+        at += size + size * (hi != 0)
+    n_words = at // size
+    words = words.reshape(_MAX_WORDS, size)
 
     pool = _hashmix(words[:_POOL], _FILL)
     for src, dst, steps in _CROSS:
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
-    for w, steps in zip(range(_POOL, int(at.max(initial=0))), _EXTRA):
-        mixed = _mix(pool, _hashmix(words[w], steps))
-        pool = np.where(w < at, mixed, pool)
+    for w, steps in zip(range(_POOL, int(n_words.max(initial=0))), _EXTRA):
+        pool = np.where(w < n_words, _mix(pool, _hashmix(words[w], steps)), pool)
 
-    state = _hashmix(pool[np.arange(2 * n64) % _POOL], _OUT_STEPS[:2 * n64])
-    state = state.astype(np.uint64)
-    out = state[0::2] | (state[1::2] << np.uint64(32))  # little-endian word pairs
-    return np.moveaxis(out, 0, -1).reshape(*shape, n64)
+    xor, mul = _OUT_STEPS
+    state = _hashmix(pool[:2 * n64], (xor[:2 * n64], mul[:2 * n64])).astype(np.uint64)
+    out = state[0::2] | (state[1::2] << _HIGH)  # little-endian word pairs
+    return out.T.reshape(*shape, n64)
 
 
 class _Key(ISeedSequence):
@@ -183,6 +199,40 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
+
+
+@contextmanager
+def _fork_map(func, items):
+    """``map(func, items)`` computed in forked worker processes, in item order.
+
+    One worker per available CPU up to the number of items; with fewer than
+    two, a plain ``map`` in the calling process.  `func` must be a
+    module-level function: it is sent to the workers by name.  Every worker
+    is forked, and every item handed out, on entry, so no worker inherits a
+    file the caller opens inside the block.  A worker's exception is raised
+    in the caller with its type and message when its result is read; a
+    killed worker raises ``BrokenExecutor`` rather than hanging; leaving the
+    block joins every worker.
+
+        with _fork_map(func, items) as results:
+            ...
+    """
+    items = list(items)
+    workers = min(_available_cpus(), len(items))
+    if workers < 2:
+        yield map(func, items)
+        return
+    # imported here, so that importing the package stays as cheap as before
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Fork, not spawn: a spawned worker would import numpy and scipy again
+    # (~0.4 s), more than a pool saves here.  Forking beside OpenBLAS's idle
+    # threads is safe as long as `func` calls no BLAS routine and takes no
+    # lock another thread may hold, which every caller's function keeps to.
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+        yield pool.map(func, items)
 
 
 def sample_chunks(n: int, seed, draw):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ewdist
-from ewdist import cli, dist, pipelines
+from ewdist import cli, dist, pipelines, rng
 from ewdist.cli import build_parser, main
 
 
@@ -587,6 +587,96 @@ def test_killed_csv_worker_exits_2_and_leaves_no_output(tmp_path):
     assert proc.stderr.startswith("ew: a worker process was killed, e.g. for lack of memory: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def _counting_fork_map(monkeypatch):
+    """Count the calls of rng._fork_map, which still runs as before."""
+    calls, real = [], rng._fork_map
+
+    def counting(func, items):
+        calls.append(func.__name__)
+        return real(func, items)
+
+    monkeypatch.setattr(rng, "_fork_map", counting)
+    return calls
+
+
+def test_gof_table_rows_in_workers_are_byte_identical(tmp_path, monkeypatch):
+    calls = _counting_fork_map(monkeypatch)
+    # 30 grid rows x 15 replications x 200 = 90,000 draws: the smallest table that forks
+    argv = ["gof-table", "--replications", 15, "--seed", 12345]
+    outs = {}
+    for fmt in ("csv", "json"):
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(rng, "_available_cpus", lambda: cpus)
+            out = tmp_path / f"{cpus}.{fmt}"
+            assert run_cli(argv + ["--format", fmt, "--out", out]) == 0
+            outs[fmt, cpus] = out.read_bytes()
+            assert multiprocessing.active_children() == []
+        assert outs[fmt, 1] == outs[fmt, 2] == outs[fmt, 4]
+    assert calls == ["_gof_grid_row"] * 6
+    # the in-process path writes the same bytes
+    monkeypatch.setattr(pipelines, "_FORK_DRAWS", 10**9)
+    assert run_cli(argv + ["--format", "csv", "--out", tmp_path / "serial.csv"]) == 0
+    assert (tmp_path / "serial.csv").read_bytes() == outs["csv", 2]
+    assert len(calls) == 6
+
+
+def test_gof_table_below_the_fork_threshold_starts_no_pool(tmp_path, monkeypatch):
+    calls = _counting_fork_map(monkeypatch)
+    monkeypatch.setattr(rng, "_available_cpus", lambda: 2)
+    for reps in (1, 5, 14):  # the README example runs 5; 14 x 30 x 200 = 84,000 draws
+        assert run_cli(["gof-table", "--replications", reps, "--out", tmp_path / "t.csv"]) == 0
+    assert calls == []
+
+
+def test_gof_table_worker_error_exits_2_with_its_message(tmp_path, monkeypatch, capsys):
+    calls = _counting_fork_map(monkeypatch)
+    monkeypatch.setattr(pipelines, "_FORK_DRAWS", 0)
+    monkeypatch.setattr(rng, "_available_cpus", lambda: 2)
+    out = tmp_path / "t.csv"
+    assert run_cli(["gof-table", "--n", 1, "--replications", 3, "--out", out]) == 2
+    assert capsys.readouterr().err == "ew: the AD variance needs at least 4 pooled values, got 2\n"
+    assert calls == ["_gof_grid_row"]
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+KILLED_GOF_WORKER_CHILD = r"""
+import multiprocessing, os, signal, sys
+from ewdist import cli, goftests, pipelines, rng
+
+parent, real = os.getpid(), goftests._pooled_rows
+
+def killed(a, b):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(a, b)
+
+goftests._pooled_rows, pipelines._FORK_DRAWS = killed, 0
+rng._available_cpus = lambda: 2
+code = cli.main(["gof-table", "--replications", "2", "--out", sys.argv[1]])
+print(code, len(multiprocessing.active_children()))
+"""
+
+
+def test_killed_gof_worker_exits_2_and_leaves_no_output(tmp_path):
+    out = tmp_path / "t.csv"
+    proc = run_python(["-c", KILLED_GOF_WORKER_CHILD, str(out)], capture_output=True, text=True,
+                      timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "2 0\n"), proc.stderr
+    assert proc.stderr.startswith("ew: a worker process was killed, e.g. for lack of memory: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--m1", "1e308", "--m2", "2", "--nu", "50"],
+                                   ["--m1", "3", "--m2", "2", "--nu", "1e308"]])
+def test_simulate_w_near_float_max_writes_finite_weights(tmp_path, capsys, flags):
+    out = tmp_path / "w.csv"
+    assert run_cli(["simulate-w", *flags, "--n", 100, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    w = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
+    assert w.size == 100 and np.isfinite(w).all() and ((w >= 0.0) & (w <= 1.0)).all()
 
 
 def test_csv_write_failing_at_close_removes_the_file_but_not_a_symlink(tmp_path, monkeypatch,

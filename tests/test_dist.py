@@ -19,6 +19,7 @@ from ewdist.dist import (
 )
 from ewdist.errors import ConfigError, DomainError
 from ewdist.goftests import ks_one_sample
+from ewdist.rng import sample_chunks
 from ewdist.specfun import ln_beta
 
 
@@ -125,6 +126,30 @@ def test_f_sample_matches_cdf():
     p = FParams(3, 50)
     draws = f_sample(p, 10**5, 11)
     assert ks_one_sample(draws, lambda y: f_cdf(y, p)).statistic < 0.01
+
+
+def _gamma_pairs(p):
+    """A sample_chunks draw returning both gamma variates of f_sample, stacked."""
+    def draw(gen, count):
+        return np.stack([gen.standard_gamma(0.5 * p.m, count),
+                         gen.standard_gamma(0.5 * p.nu, count)], axis=1)
+    return draw
+
+
+@pytest.mark.parametrize("m, nu", [(3, 50), (0.5, 1.5), (2.0**500, 2.0**515)])
+def test_f_sample_below_the_limit_keeps_the_direct_ratio_bits(m, nu):
+    p = FParams(m, nu)
+    g1, g2 = sample_chunks(5000, 9, _gamma_pairs(p)).T
+    assert np.array_equal(f_sample(p, 5000, 9), g1 * p.nu / (g2 * p.m))
+
+
+@pytest.mark.parametrize("m, nu", [(1e308, 50), (3, 1e308), (2.0**508, 2.0**508)])
+def test_f_sample_near_float_max_scales_each_draw(m, nu):
+    p = FParams(m, nu)
+    g1, g2 = sample_chunks(5000, 9, _gamma_pairs(p)).T
+    draws = f_sample(p, 5000, 9)  # the suite turns any overflow warning into an error
+    assert np.array_equal(draws, (g1 / p.m) / (g2 / p.nu))
+    assert np.isfinite(draws).all() and (draws > 0).all()
 
 
 def test_beta_pdf_uniform_case():
