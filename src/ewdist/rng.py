@@ -222,7 +222,7 @@ def _fork_map(func, items):
     if workers < 2:
         yield map(func, items)
         return
-    # imported here, so that importing the package stays as cheap as before
+    # imported here, so that importing the package does not load multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
