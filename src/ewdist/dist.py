@@ -106,25 +106,14 @@ def f_cdf(y, p: FParams):
     return reg_inc_beta(t / (t + p.nu), 0.5 * p.m, 0.5 * p.nu)
 
 
-# Largest max(m, 2) * max(nu, 2) for which f_sample scales its gamma draws
-# as g1 * nu / (g2 * m).  numpy's standard_gamma(a) never returns more than
-# 256 * max(a, 1): for a >= 1 it returns (a - 1/3) * (1 + c x)**3 with
-# c = 1/sqrt(9a - 3) <= 1/sqrt(6) and a ziggurat normal |x| < 12.3, so
-# below 218 a; for a < 1 an accepted draw is at most an exponential plus
-# -log(2**-53), below 82.  So g1 * nu <= 128 * max(m, 2) * nu and
-# g2 * m <= 128 * max(nu, 2) * m, both finite while the product stays under
-# 2**1016 < float max / 128.  Above it the draws are scaled one by one.
-_F_DIRECT_LIMIT = 2.0**1016
-
-
 def f_sample(p: FParams, n: int, seed) -> np.ndarray:
-    """n i.i.d. F(m, nu) draws as a scaled ratio of gamma variates."""
-    direct = max(p.m, 2.0) * max(p.nu, 2.0) < _F_DIRECT_LIMIT
+    """n i.i.d. F(m, nu) draws as a ratio of gamma variates, each scaled by
+    its own shape so that no product overflows near the float maximum."""
 
     def draw(rng, count):
         g1 = rng.standard_gamma(0.5 * p.m, count)
         g2 = rng.standard_gamma(0.5 * p.nu, count)
-        return g1 * p.nu / (g2 * p.m) if direct else (g1 / p.m) / (g2 / p.nu)
+        return (g1 / p.m) / (g2 / p.nu)
 
     return sample_chunks(n, seed, draw)
 

@@ -5,10 +5,9 @@ The two-sample tests are row-wise kernels: `ks_two_sample_rows` and
 `ad_two_sample_rows` test each row of a (R x n1) array against the same
 row of a (R x n2) array with one sort of the pooled rows, reading both
 ECDFs at the ends of tie groups; `ks_two_sample` and `ad_two_sample` are
-their one-row calls.  A caller that needs both statistics of the same rows
-sorts them once with `_pooled_rows` and hands the result to `_ks_rows` and
-`_ad_rows`.  The two-sample Anderson-Darling statistic is the
-midrank (tie-tolerant) version, standardized as (A2 - mean)/sd so
+their one-row calls.  `_ks_ad_two_sample_rows` returns both statistics of
+the same rows from one sort.  The two-sample Anderson-Darling statistic is
+the midrank (tie-tolerant) version, standardized as (A2 - mean)/sd so
 agreement gives values near or below zero.  Critical values use
 asymptotic Kolmogorov quantiles for KS and the standardized two-sample
 point for AD, at the fixed alpha grid {0.01, 0.05}.
@@ -218,6 +217,12 @@ def ad_two_sample_rows(a, b, alpha: float = 0.01) -> list:
     Midrank form: each tie group of the pooled row enters once, at its end.
     """
     return _ad_rows(_pooled_rows(a, b), alpha)
+
+
+def _ks_ad_two_sample_rows(a, b, alpha: float = 0.01) -> tuple:
+    """(ks_two_sample_rows(a, b, alpha), ad_two_sample_rows(a, b, alpha)) from one sort."""
+    pooled = _pooled_rows(a, b)
+    return _ks_rows(pooled, alpha), _ad_rows(pooled, alpha)
 
 
 def ad_two_sample(a, b, alpha: float = 0.01) -> GofResult:

@@ -59,6 +59,8 @@ DEFAULT_GOF_GRID = (
 # on the 30-row grid at n = 200 (2 CPUs, medians of 9), serial and forked
 # took 74 and 78 ms at 10 replications, about the same at 15, and 136 and
 # 110 ms at 20: the fork (~25 ms) pays from about 15 replications on.
+# Measured on 2 CPUs only: with more CPUs more workers are forked (one per
+# grid row at most), so the break-even may lie elsewhere there.
 _FORK_DRAWS = 90_000
 
 # the eight CDF-comparison panels at nu = 50; (2, 1) appears twice as printed
@@ -103,8 +105,7 @@ def _gof_grid_row(item) -> list:
     (m1, m2, nu), n, w_seeds, ref_seeds = item
     w = w_sample(m1, m2, nu, n, w_seeds)
     ref = beta_sample(approx.approx_shape(m2), n, ref_seeds)
-    pooled = goftests._pooled_rows(w, ref)  # one sort feeds both statistics
-    ks, ad = goftests._ks_rows(pooled, 0.01), goftests._ad_rows(pooled, 0.01)
+    ks, ad = goftests._ks_ad_two_sample_rows(w, ref, 0.01)
     return [(m1, m2, nu, n, rep, k.statistic, k.identical, a.statistic, a.identical)
             for rep, (k, a) in enumerate(zip(ks, ad))]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import anderson_ksamp, ks_2samp
 
+from ewdist import goftests
 from ewdist.errors import DomainError
 from ewdist.goftests import (
     AD_CRITICAL,
@@ -169,6 +170,8 @@ def test_batched_rows_equal_one_row_calls(rng, ties):
         assert len(rows) == 12
         for r, res in enumerate(rows):
             assert res == scalar(a[r], b[r], alpha=0.05)  # bitwise: dataclass ==
+    assert goftests._ks_ad_two_sample_rows(a, b, 0.05) == (
+        ks_two_sample_rows(a, b, 0.05), ad_two_sample_rows(a, b, 0.05))
 
 
 def test_batched_rows_with_ties_match_scipy(rng):
