@@ -5,18 +5,20 @@
 Commands: simulate-w, compare-cdf, gof-table, omega, elemental,
 certify-bounds.  Exit codes: 0 success, 2 usage or domain error, a size too
 large to allocate or a killed worker process, 3 I/O failure, 4 numeric
-non-convergence.  A config file of key=value lines can pre-set any flag of
-the invoked command; explicit flags override it.
+non-convergence or non-finite W draws.  A config file of key=value lines
+can pre-set any flag of the invoked command; explicit flags override it.
 Outputs are byte-identical for identical (flags, seed), whatever the
 number of worker threads or processes.  On exit 4 the error's diagnostics
 follow the message on stderr as sorted key=value pairs.
 
 Tables are ordered {header: column} mappings.  CSV output formats each
 column once per block of rows: floats as their shortest round-trip repr,
-integers in decimal, booleans as true/false, strings as given.  No cell is
-ever quoted; a string cell that would need quoting (a comma, a double
+integers in decimal, booleans as true/false, strings as given, by one `%`
+format per block.  Floats with 1e-4 <= |x| < 1 take repr's digits from an
+exact vectorized kernel, other floats and doubtful cells from `repr`.  No
+cell is ever quoted; a string cell that would need quoting (a comma, a double
 quote, CR or LF) raises ValueError instead.  Summary values follow the body
-as key,value rows.  A body of at least two full 65,536-row blocks is
+as key,value rows.  A body of at least four full 65,536-row blocks is
 formatted in forked worker processes, one per available CPU up to the
 number of blocks; the parent writes the blocks in order, so the bytes
 never depend on the worker count.  `gof-table` may also run its grid rows
@@ -45,7 +47,11 @@ __all__ = ["main", "build_parser"]
 
 
 _BLOCK_ROWS = 1 << 16
+# Fork from this many full blocks on.  Median cli.main of `ew simulate-w`, serial vs forked, on
+# 2 CPUs only: 80 vs 94 ms at 2 blocks, 147 vs 141 at 3, 181 vs 156 at 4, 420 vs 268 at 8.
+_FORK_BLOCKS = 4
 _NEEDS_QUOTING = re.compile(r'[,"\r\n]')
+_FLOAT_PREFIXES = np.array([s + "0." + "0" * z for s in ("", "-") for z in range(4)], dtype=object)
 
 
 def _fmt(value) -> str:
@@ -66,38 +72,84 @@ def _unquoted(cells):
     return cells
 
 
-def _column_cells(values) -> list:
-    """CSV text of one column block, the same text `_fmt` gives each cell."""
+def _shortest_digits(x):
+    """(code, digits, fallback): where not `fallback`, `_FLOAT_PREFIXES[code]`
+    (sign, "0." and -E-1 zeros) + `str(digits)` is `repr(x)`, the shortest
+    decimal that reads back as the float64 x, the nearest if several (Steele &
+    White 1990; Gay 1990).  For 1e-4 <= |x| < 1, E = floor(log10|x|) and
+    |x| * 10**(16 - E) = hi + lo exactly, in [10**16, 10**17).  The digits
+    are those of the first p in 15, 16, 17 whose nearest p-digit decimal is
+    within half an ulp of x (at 15 at most one is, at 17 one always is),
+    trailing zeros stripped.  (A power of two, whose rounding interval is
+    asymmetric, is an exact decimal of at most 10 digits here.)  Left to repr:
+    other x, and cells within 1e-6 of a rounding tie or of that bound.
+    """
+    ax = np.abs(x)
+    fallback = ~((ax >= 1e-4) & (ax < 1.0))
+    ax = np.where(fallback, 0.5, ax)
+    # E exactly, as each double 1e-3, 1e-2, 1e-1 lies above its power of ten; so
+    # no x rounds to 10**(E + 1) either, and the digits never carry into an 18th
+    e = np.searchsorted([1e-3, 1e-2, 1e-1], ax, side="right") - 4
+    scale = np.array([1e20, 1e19, 1e18, 1e17])[e + 4]
+    # Dekker's (1971) exact product, each factor split in halves as Veltkamp's
+    hi, ca, cb = ax * scale, 134217729.0 * ax, 134217729.0 * scale
+    ah, bh = ca - (ca - ax), cb - (cb - scale)
+    lo = ((ah * bh - hi) + ah * (scale - bh) + (ax - ah) * bh) + (ax - ah) * (scale - bh)
+    bound = 0.5 * np.spacing(ax) * scale
+    n, digits, undecided = hi.astype(np.int64), np.zeros(x.shape, np.int64), ~fallback
+    for q in (100, 10, 1):  # 10**(17 - p)
+        a, r = np.divmod(n, q)
+        t = (r + lo) / q  # hi + lo = (a + t) * q
+        d = np.floor(t + 0.5)
+        off = np.abs(d - t)
+        ok = undecided & (off * q < bound)
+        fallback |= undecided & (np.abs(off * q - bound) < 1e-6 * bound) | ok & (off > 0.5 - 1e-6)
+        digits = np.where(ok, (a + d.astype(np.int64)) * q, digits)
+        undecided &= ~ok
+    for s in (16, 8, 4, 2, 1):
+        digits = np.where(digits % 10**s == 0, digits // 10**s, digits)
+    return (x < 0) * 4 - 1 - e, digits, fallback
+
+
+def _column_slots(values):
+    """The `%` conversion of a column block and slot lists giving each cell `_fmt`'s text."""
     arr = np.asarray(values)
-    cells = arr.tolist()
     kind = arr.dtype.kind
     if kind == "f":
-        return list(map(repr, cells))
+        code, digits, fallback = _shortest_digits(np.asarray(arr, dtype=float))
+        prefixes, digits = _FLOAT_PREFIXES[code].tolist(), digits.tolist()
+        for i in np.flatnonzero(fallback).tolist():
+            prefixes[i], digits[i] = repr(float(arr[i])), ""
+        return "%s%s", [prefixes, digits]
     if kind in "iu":
-        return list(map(str, cells))
+        return "%d", [arr.tolist()]
     if kind == "b":
-        return ["true" if v else "false" for v in cells]
+        return "%s", [["true" if v else "false" for v in arr.tolist()]]
     if kind == "U":
-        return _unquoted(cells)
+        return "%s", [_unquoted(arr.tolist())]
     raise TypeError(f"cannot write a column of dtype {arr.dtype} as CSV")
 
 
 def _block_text(block) -> str:
-    """CSV text of one block of rows, given as one slice per column."""
-    texts = [_column_cells(col) for col in block]
-    return "\r\n".join(map(",".join, zip(*texts, strict=True))) + "\r\n"
+    """CSV text of a block of rows, given as one slice per column, by one `%` format."""
+    conversions, slot_lists = zip(*map(_column_slots, block))
+    slots = [slot for lists in slot_lists for slot in lists]
+    cells = [None] * (len(slots[0]) * len(slots))
+    for i, slot in enumerate(slots):
+        cells[i::len(slots)] = slot  # ValueError if the columns differ in length
+    return (",".join(conversions) + "\r\n") * len(slots[0]) % tuple(cells)
 
 
 def _write_csv(path, columns, footer=()):
     """Header, then the body `_BLOCK_ROWS` rows at a time, each column formatted once.
 
-    A body of two or more full blocks is formatted in forked workers, which
-    start before the file is opened; the blocks are written in order.
+    A body of `_FORK_BLOCKS` or more full blocks is formatted in forked workers,
+    which start before the file is opened; the blocks are written in order.
     """
     n_rows = len(next(iter(columns.values())))
     blocks = ([col[start:start + _BLOCK_ROWS] for col in columns.values()]
               for start in range(0, n_rows, _BLOCK_ROWS))
-    if n_rows < 2 * _BLOCK_ROWS:  # too little text to repay the fork
+    if n_rows < _FORK_BLOCKS * _BLOCK_ROWS:  # too little text to repay the fork
         _write_csv_text(path, columns, map(_block_text, blocks), footer)
         return
     with rng._fork_map(_block_text, blocks) as body:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .rng import derive_seed, sample_chunks
 from .specfun import _validate_open_unit, _validate_positive, ln_beta, reg_inc_beta
 
@@ -113,7 +113,8 @@ def f_sample(p: FParams, n: int, seed) -> np.ndarray:
     def draw(rng, count):
         g1 = rng.standard_gamma(0.5 * p.m, count)
         g2 = rng.standard_gamma(0.5 * p.nu, count)
-        return (g1 / p.m) / (g2 / p.nu)
+        with np.errstate(divide="ignore", over="ignore"):  # per thread; chunks run in a pool
+            return (g1 / p.m) / (g2 / p.nu)
 
     return sample_chunks(n, seed, draw)
 
@@ -141,10 +142,17 @@ def beta_sample(s: BetaShape, n: int, seed) -> np.ndarray:
 
 
 def w_sample(m1: float, m2: float, nu: float, n: int, seed) -> np.ndarray:
-    """Draws of W = Y1/(Y1+Y2) for independent Y1 ~ F(m1, nu), Y2 ~ F(m2, nu)."""
+    """Draws of W = Y1/(Y1+Y2) for independent Y1 ~ F(m1, nu), Y2 ~ F(m2, nu);
+    NumericError if one is not finite (a tiny nu can make both F draws inf)."""
     y1 = f_sample(FParams(m1, nu), n, derive_seed(seed, 0))
     y2 = f_sample(FParams(m2, nu), n, derive_seed(seed, 1))
-    return y1 / (y1 + y2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = y1 / (y1 + y2)
+    bad = int(np.count_nonzero(~np.isfinite(w)))
+    if bad:
+        raise NumericError(f"{bad} of {w.size} W draws are not finite",
+                           nonfinite=bad, m1=m1, m2=m2, nu=nu)
+    return w
 
 
 def mvt_sample_rows(p: MvtParams, n_rows: int, seed) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -533,12 +534,91 @@ def test_csv_body_formatted_in_workers_matches_reference_writer(tmp_path, monkey
     def no_memory(values):
         raise MemoryError("Unable to allocate 1.00 TiB")
 
-    monkeypatch.setattr(cli, "_column_cells", no_memory)
+    monkeypatch.setattr(cli, "_column_slots", no_memory)
     argv = ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 1000, "--out", out]
     assert run_cli(argv) == 2
     assert capsys.readouterr().err == "ew: out of memory: Unable to allocate 1.00 TiB\n"
     assert not out.exists()
     assert multiprocessing.active_children() == []
+
+
+def _uniform(n, seed=2024):
+    return np.random.default_rng(seed).random(n)
+
+
+def _short_decimal_neighbours():
+    short = np.arange(1, 10**5) / 10**5
+    return np.concatenate([np.nextafter(short, 0), short, np.nextafter(short, 1)])
+
+
+def _near_rounding_bounds(count=20_000):
+    """Pairs of adjacent doubles in [1e-4, 1) whose shared rounding bound (their
+    midpoint) lies within one part in 5**a of an ulp of a decimal D / 10**a of
+    15 or 16 digits: the hardest cases for deciding whether D reads back."""
+    gen, out = np.random.default_rng(1), []
+    while len(out) < count:
+        e10, p, sign = int(gen.integers(-4, 0)), int(gen.integers(15, 17)), int(gen.choice([-1, 1]))
+        ex = int(gen.integers(np.floor(e10 * np.log2(10)), np.floor((e10 + 1) * np.log2(10))))
+        a = p - 1 - e10
+        s, mod = 53 - ex - a, 5**a
+        d = (sign * pow(2**s, -1, mod)) % mod
+        d += int(gen.integers(10 ** (p - 1) // mod, 10**p // mod)) * mod
+        q, rem = divmod(d * 2**s - sign, mod)  # midpoint = q * 2**(ex - 53), D = d
+        if rem == 0 and q % 2 and 2**53 <= q < 2**54:
+            out += [float((q - 1) // 2) * 2.0 ** (ex - 52), float((q + 1) // 2) * 2.0 ** (ex - 52)]
+    return np.array(out)
+
+
+# Float columns whose cells must be repr's, through the digit kernel or its fallback.
+FLOAT_SETS = {
+    "w-draws": lambda: dist.w_sample(3, 2, 50, 10**6, 31),
+    "uniform-and-negatives": lambda: np.concatenate([_uniform(200_000), -_uniform(200_000)]),
+    "1e-8-to-1e20": lambda: 10.0 ** np.random.default_rng(5).uniform(-8, 20, 200_000),
+    "rounded-to-1-16-decimals": lambda: np.concatenate(
+        [np.round(_uniform(20_000), k) for k in range(1, 17)]),
+    "neighbours-of-short-decimals": _short_decimal_neighbours,
+    "near-rounding-bounds": _near_rounding_bounds,
+    "dyadic-ties": lambda: np.concatenate(  # j / 2**17 .. j / 2**21 hold exact rounding ties
+        [(np.random.default_rng(s).integers(1, 2**s, 20_000) | 1) / 2.0**s for s in range(14, 26)]),
+    "powers-of-two-and-ten": lambda: np.concatenate(
+        [2.0 ** np.arange(-1074, 1024), -(2.0 ** np.arange(-1074, 1024)),
+         10.0 ** np.arange(-323, 309)]),
+    "edges": lambda: np.array(
+        [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), np.nextafter(1, 0), 1.0, -1.0,
+         np.nextafter(0.1, 0), np.nextafter(0.01, 0), np.nextafter(0.001, 0), 0.0, -0.0,
+         np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_SETS))
+def test_float_cells_match_repr(name):
+    x = FLOAT_SETS[name]()
+    assert cli._block_text([x]) == "".join(f"{cell}\r\n" for cell in map(repr, x.tolist()))
+
+
+@pytest.mark.parametrize("name", ["w-draws", "uniform-and-negatives", "1e-8-to-1e20"])
+def test_digit_kernel_decides_nearly_every_cell_in_its_range(name):
+    x = FLOAT_SETS[name]()
+    x = x[(np.abs(x) >= 1e-4) & (np.abs(x) < 1.0)]
+    assert x.size > 10_000
+    assert np.count_nonzero(cli._shortest_digits(x)[2]) <= 1e-4 * x.size
+
+
+def test_repr_fallback_alone_writes_the_same_bytes(tmp_path, monkeypatch):
+    argvs = [["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 5000, "--seed", 3],
+             ["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 500, "--seed", 3]]
+    kernel = cli._shortest_digits
+
+    def accept_nothing(x):
+        code, digits, fallback = kernel(x)
+        return code, digits, np.ones_like(fallback)
+
+    for i, argv in enumerate(argvs):
+        assert run_cli(argv + ["--out", tmp_path / f"{i}.csv"]) == 0
+        monkeypatch.setattr(cli, "_shortest_digits", accept_nothing)
+        assert run_cli(argv + ["--out", tmp_path / f"{i}-repr.csv"]) == 0
+        monkeypatch.setattr(cli, "_shortest_digits", kernel)
+        assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / f"{i}-repr.csv").read_bytes()
 
 
 # A CSV worker killed mid-body (as the kernel's out-of-memory killer would).
@@ -548,14 +628,14 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 from ewdist import cli, rng
 
-parent, real = os.getpid(), cli._column_cells
+parent, real = os.getpid(), cli._column_slots
 
 def killed(values):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
     return real(values)
 
-cli._BLOCK_ROWS, cli._column_cells = 64, killed
+cli._BLOCK_ROWS, cli._column_slots = 64, killed
 rng._available_cpus = lambda: 2
 """
 
@@ -677,6 +757,21 @@ def test_simulate_w_near_float_max_writes_finite_weights(tmp_path, capsys, flags
     assert capsys.readouterr().err == ""
     w = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
     assert w.size == 100 and np.isfinite(w).all() and ((w >= 0.0) & (w <= 1.0)).all()
+
+
+def test_simulate_w_refuses_non_finite_draws(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    argv = ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 0.001, "--n", 100, "--seed", 1,
+            "--out", out]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == 4
+    assert caught == []
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "ew: numeric failure: 65 of 100 W draws are not finite",
+        "ew:   m1=3.0", "ew:   m2=2.0", "ew:   nonfinite=65", "ew:   nu=0.001",
+    ]
 
 
 def test_csv_write_failing_at_close_removes_the_file_but_not_a_symlink(tmp_path, monkeypatch,
