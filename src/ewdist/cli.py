@@ -3,9 +3,12 @@
     ew <command> [flags] --seed U64 --out PATH [--format csv|json]
 
 Commands: simulate-w, compare-cdf, gof-table, omega, elemental,
-certify-bounds.  Exit codes: 0 success, 2 usage or domain error, a size too
-large to allocate or a killed worker process, 3 I/O failure, 4 numeric
-non-convergence or non-finite W draws.  A config file of key=value lines
+certify-bounds.  Exit codes: 0 success, 2 usage or domain error (an input
+file that is not UTF-8 included), a size too large to allocate or a killed
+worker process, 3 I/O failure, 4 numeric non-convergence or non-finite W
+draws.  A command writes all its files, the table or report and then any
+gnuplot script, as UTF-8 in one call; if anything fails, every regular,
+non-symlink file it opened is removed.  A config file of key=value lines
 can pre-set any flag of the invoked command; explicit flags override it.
 Outputs are byte-identical for identical (flags, seed), whatever the
 number of worker threads or processes.  On exit 4 the error's diagnostics
@@ -36,6 +39,8 @@ import os
 import re
 import sys
 from concurrent.futures import BrokenExecutor
+from contextlib import nullcontext
+from itertools import chain
 
 import numpy as np
 
@@ -140,46 +145,46 @@ def _block_text(block) -> str:
     return (",".join(conversions) + "\r\n") * len(slots[0]) % tuple(cells)
 
 
-def _write_csv(path, columns, footer=()):
-    """Header, then the body `_BLOCK_ROWS` rows at a time, each column formatted once.
+def _write(outputs):
+    """Write each (path, pieces) in turn as UTF-8, surrogate escapes as their bytes.  If
+    anything raises, each regular file opened is removed; not /dev/stdout or a symlink."""
+    opened = []
+    try:
+        for path, pieces in outputs:
+            with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+                opened.append(path)
+                fh.writelines(pieces)
+    except BaseException:
+        for path in opened:
+            if os.path.isfile(path) and not os.path.islink(path):
+                os.remove(path)
+        raise
+
+
+def _write_csv(path, columns, footer=(), others=()):
+    """Header, the body `_BLOCK_ROWS` rows at a time, each column formatted once,
+    and the footer rows, written by one `_write` call before the `others`.
 
     A body of `_FORK_BLOCKS` or more full blocks is formatted in forked workers,
-    which start before the file is opened; the blocks are written in order.
+    which start before any file is opened; the blocks are written in order.
     """
     n_rows = len(next(iter(columns.values())))
     blocks = ([col[start:start + _BLOCK_ROWS] for col in columns.values()]
               for start in range(0, n_rows, _BLOCK_ROWS))
-    if n_rows < _FORK_BLOCKS * _BLOCK_ROWS:  # too little text to repay the fork
-        _write_csv_text(path, columns, map(_block_text, blocks), footer)
-        return
-    with rng._fork_map(_block_text, blocks) as body:
-        _write_csv_text(path, columns, body, footer)
+    serial = n_rows < _FORK_BLOCKS * _BLOCK_ROWS  # too little text to repay the fork
+    with (nullcontext(map(_block_text, blocks)) if serial
+          else rng._fork_map(_block_text, blocks)) as body:
+        header = [",".join(_unquoted(list(columns))) + "\r\n"]
+        tail = (",".join(_unquoted(list(map(_fmt, row)))) + "\r\n" for row in footer)
+        _write([(path, chain(header, body, tail)), *others])
 
 
-def _write_csv_text(path, columns, body, footer):
-    """Write the table.  If a write, the flush or the close fails, a regular,
-    non-symlink `path` is removed; /dev/stdout and symlinks are left alone."""
-    fh = open(path, "w", newline="", encoding="ascii")
-    try:
-        with fh:
-            fh.write(",".join(_unquoted(list(columns))) + "\r\n")
-            fh.writelines(body)
-            for row in footer:
-                fh.write(",".join(_unquoted(list(map(_fmt, row)))) + "\r\n")
-    except BaseException:
-        if os.path.isfile(path) and not os.path.islink(path):
-            os.remove(path)
-        raise
+def _json_output(path, payload):
+    return path, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"]
 
 
-def _write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
-
-
-def _emit_table(args, columns, summary=None):
-    """Write an ordered {header: 1-D array or list} table and its summary."""
+def _emit_table(args, columns, summary=None, others=()):
+    """Write an ordered {header: 1-D array or list} table and its summary, then `others`."""
     summary = summary or {}
     if args.format == "json":
         parameters = {
@@ -188,28 +193,21 @@ def _emit_table(args, columns, summary=None):
             and v is not None
         }
         rows = zip(*(np.asarray(col).tolist() for col in columns.values()), strict=True)
-        _write_json(args.out, {"command": args.command, "parameters": parameters,
-                               "columns": list(columns), "rows": list(rows), "summary": summary})
+        _write([_json_output(args.out, {"command": args.command, "parameters": parameters,
+                                        "columns": list(columns), "rows": list(rows),
+                                        "summary": summary}), *others])
     else:
         pad = ("",) * max(0, len(columns) - 2)
-        _write_csv(args.out, columns, [(k, v) + pad for k, v in summary.items()])
+        _write_csv(args.out, columns, [(k, v) + pad for k, v in summary.items()], others)
 
 
-def _emit_gnuplot(path, out_csv, n_rows, title, ycols):
-    lines = [
-        "set datafile separator ','",
-        "set key left top",
-        f"set title '{title}'",
-        "set xrange [0:1]",
-        "plot \\",
-    ]
-    plots = [
-        f"  '{out_csv}' every ::1::{n_rows} using {x}:{y} with {style} title '{name}'"
-        for x, y, style, name in ycols
-    ]
-    lines.append(", \\\n".join(plots))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _gnuplot(args, n_rows, title, ycols):
+    """The --gnuplot-script output, if one is asked for, as a list of (path, pieces)."""
+    plots = ", \\\n".join(f"  '{args.out}' every ::1::{n_rows} using {x}:{y} with {style}"
+                          f" title '{name}'" for x, y, style, name in ycols)
+    script = (f"set datafile separator ','\nset key left top\nset title '{title}'\n"
+              f"set xrange [0:1]\nplot \\\n{plots}\n")
+    return [(args.gnuplot_script, [script])] if args.gnuplot_script else []
 
 
 def _cmd_simulate_w(args):
@@ -218,33 +216,32 @@ def _cmd_simulate_w(args):
 
 
 def _cmd_compare_cdf(args):
-    columns, summary = pipelines.compare_cdf_rows(
-        args.m1, args.m2, args.nu, args.n, args.grid_points, args.seed
-    )
-    _emit_table(args, columns, summary)
-    if args.gnuplot_script:
-        _emit_gnuplot(
-            args.gnuplot_script, args.out, len(columns["w"]),
-            f"W vs proposed Beta (m1={args.m1} m2={args.m2} nu={args.nu})",
-            [(1, 2, "steps", "ECDF of W"), (1, 3, "lines", "proposed Beta CDF")],
-        )
+    columns, summary = pipelines.compare_cdf_rows(args.m1, args.m2, args.nu, args.n,
+                                                  args.grid_points, args.seed)
+    _emit_table(args, columns, summary, _gnuplot(
+        args, len(columns["w"]), f"W vs proposed Beta (m1={args.m1} m2={args.m2} nu={args.nu})",
+        [(1, 2, "steps", "ECDF of W"), (1, 3, "lines", "proposed Beta CDF")],
+    ))
 
 
 def _read_grid_file(path):
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["m1", "m2", "nu"]:
-            raise DomainError(f"grid file {path}: expected header 'm1,m2,nu'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                m1, m2, nu = (float(c) for c in row)
-            except (ValueError, TypeError):
-                raise DomainError(f"grid file {path}: malformed row at line {lineno}: {row!r}")
-            rows.append((m1, m2, nu))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(list(fh))
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"grid file {path} is not UTF-8 text: {exc}") from None
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != ["m1", "m2", "nu"]:
+        raise DomainError(f"grid file {path}: expected header 'm1,m2,nu'")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        try:
+            m1, m2, nu = (float(c) for c in row)
+        except (ValueError, TypeError):
+            raise DomainError(f"grid file {path}: malformed row at line {lineno}: {row!r}")
+        rows.append((m1, m2, nu))
     if not rows:
         raise DomainError(f"grid file {path} contains no parameter rows")
     return rows
@@ -258,16 +255,11 @@ def _cmd_gof_table(args):
 
 
 def _cmd_omega(args):
-    columns, summary = pipelines.omega_rows(
-        args.rho, args.n2, args.n, args.grid_points, args.seed
-    )
-    _emit_table(args, columns, summary)
-    if args.gnuplot_script:
-        _emit_gnuplot(
-            args.gnuplot_script, args.out, columns["row_type"].count("cdf"),
-            f"product law (rho={args.rho} n2={args.n2})",
-            [(2, 3, "lines", "numeric CDF"), (2, 4, "steps", "Monte Carlo ECDF")],
-        )
+    columns, summary = pipelines.omega_rows(args.rho, args.n2, args.n, args.grid_points, args.seed)
+    _emit_table(args, columns, summary, _gnuplot(
+        args, columns["row_type"].count("cdf"), f"product law (rho={args.rho} n2={args.n2})",
+        [(2, 3, "lines", "numeric CDF"), (2, 4, "steps", "Monte Carlo ECDF")],
+    ))
 
 
 def _cmd_elemental(args):
@@ -304,9 +296,7 @@ def _cmd_certify_bounds(args):
     n_u, n_w = _parse_grid_spec(args.grid)
     setting = approx.RatioSetting(args.m1, args.m2, args.nu1, args.nu2)
     report = approx.certify_bounds(setting, n_u=n_u, n_w=n_w)
-    report["command"] = args.command
-    report["seed"] = args.seed
-    _write_json(args.out, report)
+    _write([_json_output(args.out, {**report, "command": args.command, "seed": args.seed})])
 
 
 def build_parser():
@@ -374,15 +364,19 @@ def build_parser():
 
 def _load_config_pairs(path):
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"config {path}: line {lineno} is not key=value: {raw!r}")
-            key, value = line.split("=", 1)
-            pairs.append((key.strip(), value.strip()))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"config {path}: line {lineno} is not key=value: {raw!r}")
+        key, value = line.split("=", 1)
+        pairs.append((key.strip(), value.strip()))
     return pairs
 
 

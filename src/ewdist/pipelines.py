@@ -54,13 +54,13 @@ DEFAULT_GOF_GRID = (
     (40, 25, 50), (40, 25, 150),
 )
 
-# Fewest W draws (grid rows x replications x n) for which gof_table_rows
-# runs its grid rows in forked workers.  In fresh `ew gof-table` processes
-# on the 30-row grid at n = 200 (2 CPUs, medians of 9), serial and forked
-# took 74 and 78 ms at 10 replications, about the same at 15, and 136 and
-# 110 ms at 20: the fork (~25 ms) pays from about 15 replications on.
-# Measured on 2 CPUs only: with more CPUs more workers are forked (one per
-# grid row at most), so the break-even may lie elsewhere there.
+# Fewest W draws (grid rows x replications x n) for which gof_table_rows runs
+# its grid rows in forked workers.  Median cli.main time of `ew gof-table
+# --format json` (30 rows, n = 200), serial vs always forked, in three rounds of
+# 11 alternating fresh-process pairs on 2 CPUs: 45-52 vs 77-104 ms at 1
+# replication, 60-66 vs 70-109 at 5, 67-108 vs 80-96 at 10, 115-129 vs 98-103 at
+# 15 and 123-146 vs 101-124 at 20.  So the fork pays from 10-15 replications on;
+# with more CPUs (more workers) the break-even may lie elsewhere.
 _FORK_DRAWS = 90_000
 
 # the eight CDF-comparison panels at nu = 50; (2, 1) appears twice as printed

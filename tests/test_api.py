@@ -1,8 +1,11 @@
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ewdist
 from ewdist import approx, dist, product, specfun
 from ewdist.approx import RatioSetting
 
@@ -61,3 +64,28 @@ def test_scalar_in_float_out_array_in_array_out(name):
     out = fn(grid)
     assert type(out) is np.ndarray and out.shape == grid.shape
     assert out[0, 2] == one[0]
+
+
+def _write_mode_opens(tree):
+    """(enclosing top-level name, line) of each `open(...)` call whose mode may write."""
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = (node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                    or [ast.Constant("r")])[0]
+            if not isinstance(mode, ast.Constant) or set(mode.value) & set("wax+"):
+                yield name, node.lineno
+
+
+def test_every_output_file_is_opened_by_cli_write_alone():
+    """cli._write removes what it opened when anything fails; no other code opens for writing."""
+    found = [(path.stem, name)
+             for path in sorted(Path(ewdist.__file__).parent.glob("*.py"))
+             for name, _ in _write_mode_opens(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("cli", "_write")]
+    # the scan sees a write-mode open wherever it is written
+    planted = ast.parse("def f(p):\n    return open(p, 'a')\nopen('x', mode=m)\nopen('y')\n")
+    assert list(_write_mode_opens(planted)) == [("f", 2), ("<module>", 3)]

@@ -147,6 +147,21 @@ def test_gof_table_grid_file_and_malformed_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name, text", [
+    (["gof-table", "--grid"], "grid file", b"m1,m2,nu\n3,2,\xff50\n"),
+    (["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--config"], "config",
+     b"grid-points=\xff\xfe\n"),
+], ids=["grid", "config"])
+def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv, name, text):
+    path, out = tmp_path / "input", tmp_path / "out.csv"
+    path.write_bytes(text)
+    assert run_cli([*argv, path, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ew: {name} {path} is not UTF-8 text: ")
+    assert "can't decode byte 0xff" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["--n", 1], "at least 4 pooled values"),
     (["--replications", -3], "nonnegative"),
@@ -774,8 +789,9 @@ def test_simulate_w_refuses_non_finite_draws(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_csv_write_failing_at_close_removes_the_file_but_not_a_symlink(tmp_path, monkeypatch,
-                                                                         capsys):
+                                                                         capsys, fmt):
     real_open = open
 
     def full_disk_open(*args, **kwargs):
@@ -791,7 +807,8 @@ def test_csv_write_failing_at_close_removes_the_file_but_not_a_symlink(tmp_path,
 
     monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
     out = tmp_path / "w.csv"
-    argv = ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 100, "--out", out]
+    argv = ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 100, "--format", fmt,
+            "--out", out]
     assert run_cli(argv) == 3
     assert capsys.readouterr().err == "ew: i/o failure: [Errno 28] No space left on device\n"
     assert not out.exists()
@@ -800,6 +817,44 @@ def test_csv_write_failing_at_close_removes_the_file_but_not_a_symlink(tmp_path,
     link.symlink_to(tmp_path / "target.csv")
     assert run_cli(argv[:-1] + [link]) == 3
     assert link.is_symlink() and (tmp_path / "target.csv").exists()
+
+
+def _file_size_cap():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-w", "--m1", "3", "--m2", "2", "--nu", "50", "--n", "1000", "--format", "json"],
+    ["certify-bounds", "--m1", "3", "--m2", "2", "--nu1", "50", "--nu2", "50"],
+    ["simulate-w", "--m1", "3", "--m2", "2", "--nu", "50", "--n", "1000"],
+], ids=["json-table", "certificate", "csv-table"])
+def test_write_past_the_file_size_limit_exits_3_and_leaves_no_file(tmp_path, argv):
+    # Python ignores SIGXFSZ, so a write past RLIMIT_FSIZE raises EFBIG rather than killing it
+    proc = run_python(["-m", "ewdist.cli", *argv, "--out", str(tmp_path / "out")],
+                      capture_output=True, text=True, preexec_fn=_file_size_cap)
+    assert (proc.returncode, proc.stderr) == (3, "ew: i/o failure: [Errno 27] File too large\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["résultat.csv", os.fsdecode(b"r\xe9sultat.csv")],
+                         ids=["utf8", "undecodable"])
+def test_gnuplot_script_holds_a_non_ascii_table_path_as_given(tmp_path, name):
+    argv = ["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 100, "--seed", 1]
+    out, gp = tmp_path / name, tmp_path / "plot.gp"
+    assert run_cli(argv + ["--out", out, "--gnuplot-script", gp]) == 0
+    assert b"  '" + os.fsencode(out) + b"' every ::1::" in gp.read_bytes()
+    assert run_cli(argv + ["--out", tmp_path / "ascii.csv"]) == 0
+    assert out.read_bytes() == (tmp_path / "ascii.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["compare-cdf", "omega"])
+def test_unwritable_gnuplot_script_exits_3_and_leaves_no_file(tmp_path, capsys, command):
+    argv = {"compare-cdf": ["--m1", 3, "--m2", 2, "--nu", 50], "omega": ["--rho", 2, "--n2", 3]}
+    gp = tmp_path / "no_dir" / "plot.gp"
+    assert run_cli([command, *argv[command], "--n", 100, "--out", tmp_path / "t.csv",
+                    "--gnuplot-script", gp]) == 3
+    assert capsys.readouterr().err.startswith("ew: i/o failure: [Errno 2] No such file")
+    assert list(tmp_path.iterdir()) == []
 
 
 # The degenerate-input sweep: each numeric flag of each command and --seed,
@@ -814,8 +869,10 @@ SWEEP_BASES = {
 }
 SWEEP_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "abc", "2.5", str(2**70), str(10**14))
 
-# Runs the argv lists read from stdin through cli.main in one process and
-# prints the cases that break the contract, as JSON.
+# Runs the argv lists read from stdin through cli.main in one process, each
+# in its own temporary directory (which replaces "<tmp>" in the argv), and
+# prints the cases that break the contract, as JSON: a non-zero exit must
+# leave no file at all.
 SWEEP_CHILD = r"""
 import contextlib, io, json, sys, tempfile, traceback
 from pathlib import Path
@@ -836,9 +893,11 @@ def run(argv, out):
 broken = []
 with tempfile.TemporaryDirectory() as tmp:
     for i, argv in enumerate(json.load(sys.stdin)):
-        out = Path(tmp) / f"{i}.out"
+        case = Path(tmp) / str(i)
+        case.mkdir()
+        argv, out = [t.replace("<tmp>", str(case)) for t in argv], case / "out"
         code, err = run(argv, out)
-        if code not in (0, 2, 3, 4) or "Traceback" in err or (code and out.exists()):
+        if code not in (0, 2, 3, 4) or "Traceback" in err or (code and any(case.iterdir())):
             broken.append([argv, code, err[-400:]])
         elif code == 0:
             first = out.read_bytes()
@@ -853,10 +912,13 @@ print(json.dumps(broken))
 def sweep_cases():
     for command, base in SWEEP_BASES.items():
         argv = [command, *base, "--seed", "1"]
+        # every output file is checked, but the script path is never swept
+        script = (["--gnuplot-script", "<tmp>/plot.gp"] if command in ("compare-cdf", "omega")
+                  else [])
         for flag in [t for t in argv if t.startswith("--") and t != "--generate"]:
             at = argv.index(flag) + 1
             for value in SWEEP_VALUES:
-                yield argv[:at] + [value] + argv[at + 1:]
+                yield argv[:at] + [value] + argv[at + 1:] + script
 
 
 def test_degenerate_input_sweep_keeps_the_exit_contract():
