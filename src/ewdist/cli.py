@@ -41,6 +41,7 @@ import sys
 from concurrent.futures import BrokenExecutor
 from contextlib import nullcontext
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -71,9 +72,9 @@ def _fmt(value) -> str:
 
 def _unquoted(cells):
     """The cells as given; ValueError if one would need CSV quoting."""
-    for cell in cells:
-        if _NEEDS_QUOTING.search(cell):
-            raise ValueError(f"CSV cell {cell!r} would need quoting")
+    if _NEEDS_QUOTING.search("".join(cells)):
+        cell = next(cell for cell in cells if _NEEDS_QUOTING.search(cell))
+        raise ValueError(f"CSV cell {cell!r} would need quoting")
     return cells
 
 
@@ -116,11 +117,14 @@ def _shortest_digits(x):
     return (x < 0) * 4 - 1 - e, digits, fallback
 
 
-def _column_slots(values):
-    """The `%` conversion of a column block and slot lists giving each cell `_fmt`'s text."""
+def _column_slots(values, as_json=False):
+    """The `%` conversion of a column block and slot lists giving each cell `_fmt`'s text;
+    with `as_json`, strings as `json.dumps` writes them and its ValueError for nan or inf."""
     arr = np.asarray(values)
     kind = arr.dtype.kind
     if kind == "f":
+        if as_json and not np.isfinite(arr).all():
+            json.dumps(arr.tolist(), indent=2, allow_nan=False)
         code, digits, fallback = _shortest_digits(np.asarray(arr, dtype=float))
         prefixes, digits = _FLOAT_PREFIXES[code].tolist(), digits.tolist()
         for i in np.flatnonzero(fallback).tolist():
@@ -131,18 +135,23 @@ def _column_slots(values):
     if kind == "b":
         return "%s", [["true" if v else "false" for v in arr.tolist()]]
     if kind == "U":
-        return "%s", [_unquoted(arr.tolist())]
+        return "%s", [list(map(encode_basestring_ascii, arr.tolist())) if as_json
+                      else _unquoted(arr.tolist())]
     raise TypeError(f"cannot write a column of dtype {arr.dtype} as CSV")
 
 
-def _block_text(block) -> str:
-    """CSV text of a block of rows, given as one slice per column, by one `%` format."""
-    conversions, slot_lists = zip(*map(_column_slots, block))
+def _block_text(block, as_json=False) -> str:
+    """CSV text of a block of rows, given as one slice per column, by one `%` format; with
+    `as_json`, the rows as `json.dumps(indent=2)` writes them in a top-level key, each + ",\n"."""
+    conversions, slot_lists = zip(*(_column_slots(col, True) for col in block) if as_json
+                                  else map(_column_slots, block))
     slots = [slot for lists in slot_lists for slot in lists]
     cells = [None] * (len(slots[0]) * len(slots))
     for i, slot in enumerate(slots):
         cells[i::len(slots)] = slot  # ValueError if the columns differ in length
-    return (",".join(conversions) + "\r\n") * len(slots[0]) % tuple(cells)
+    row = ("    [\n      " + ",\n      ".join(conversions) + "\n    ],\n" if as_json
+           else ",".join(conversions) + "\r\n")
+    return row * len(slots[0]) % tuple(cells)
 
 
 def _write(outputs):
@@ -192,10 +201,13 @@ def _emit_table(args, columns, summary=None, others=()):
             if k not in ("command", "func", "out", "format", "config", "gnuplot_script")
             and v is not None
         }
-        rows = zip(*(np.asarray(col).tolist() for col in columns.values()), strict=True)
-        _write([_json_output(args.out, {"command": args.command, "parameters": parameters,
-                                        "columns": list(columns), "rows": list(rows),
-                                        "summary": summary}), *others])
+        body = _block_text(list(columns.values()), as_json=True)
+        path, (text,) = _json_output(args.out, {"command": args.command, "parameters": parameters,
+                                                "columns": list(columns), "rows": [],
+                                                "summary": summary})
+        if body:  # the rows in place of the empty list, indented as json.dumps indents them
+            text = text.replace('\n  "rows": []', '\n  "rows": [\n' + body[:-2] + "\n  ]", 1)
+        _write([(path, [text]), *others])
     else:
         pad = ("",) * max(0, len(columns) - 2)
         _write_csv(args.out, columns, [(k, v) + pad for k, v in summary.items()], others)
@@ -203,7 +215,8 @@ def _emit_table(args, columns, summary=None, others=()):
 
 def _gnuplot(args, n_rows, title, ycols):
     """The --gnuplot-script output, if one is asked for, as a list of (path, pieces)."""
-    plots = ", \\\n".join(f"  '{args.out}' every ::1::{n_rows} using {x}:{y} with {style}"
+    out, title = args.out.replace("'", "''"), title.replace("'", "''")  # '' is ' in '...'
+    plots = ", \\\n".join(f"  '{out}' every ::1::{n_rows} using {x}:{y} with {style}"
                           f" title '{name}'" for x, y, style, name in ycols)
     script = (f"set datafile separator ','\nset key left top\nset title '{title}'\n"
               f"set xrange [0:1]\nplot \\\n{plots}\n")
@@ -415,6 +428,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_inject_config(argv, commands))
         rng._key_array("seed", args.seed)
+        if getattr(args, "gnuplot_script", None) and args.format == "json":
+            raise DomainError("--gnuplot-script plots the CSV table; it cannot read --format json")
         args.func(args)
         return 0
     except NumericError as exc:

@@ -16,15 +16,15 @@ from it by one ulp on about 5% of the weights.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .dist import MvtParams, mvt_sample_rows
 from .errors import DomainError, RankError, SizeError
-from .rng import _seeded_streams, derive_seed
+from .rng import _seeded_draws, derive_seed
 from .specfun import _validate_count
 
 __all__ = [
@@ -111,7 +111,7 @@ def _subsets(l: int, k: int, cap: int) -> np.ndarray:
             f"C({l},{k}) = {count} subsets exceeds the cap {cap}; "
             "use sampled-sets mode instead"
         )
-    return np.array(list(combinations(range(l), k)), dtype=np.intp)
+    return _subsets_by_rank(l, k, np.arange(count))
 
 
 def weight_of_set(x, e) -> float:
@@ -167,20 +167,36 @@ def chain_ratios(x, e) -> np.ndarray:
 
 
 def subset_by_rank(l: int, k: int, rank: int) -> tuple:
-    """rank-th (0-based) k-subset of {1..l} in lexicographic order."""
+    """rank-th (0-based) k-subset of {1..l} in lexicographic order; C(l, k) <= 2**63."""
     if rank < 0 or rank >= math.comb(l, k):
         raise DomainError(f"rank {rank} out of range for C({l},{k})")
-    out = []
-    start = 1
-    for slot in range(k, 0, -1):
-        for v in range(start, l - slot + 2):
-            block = math.comb(l - v, slot - 1)
-            if rank < block:
-                out.append(v)
-                start = v + 1
-                break
-            rank -= block
-    return tuple(out)
+    return tuple((_subsets_by_rank(l, k, [rank])[0] + 1).tolist())
+
+
+def _rank_count(l: int, k: int) -> int:
+    """C(l, k), the number of ranks; SizeError past 2**63, the rank draw's range."""
+    if (count := math.comb(l, k)) > 2**63:
+        raise SizeError(f"C({l},{k}) = {count} subsets exceeds 2**63, the rank draw's range")
+    return count
+
+
+def _subsets_by_rank(l: int, k: int, ranks: np.ndarray) -> np.ndarray:
+    """(len(ranks), k) 0-based k-subsets of range(l) of the given lexicographic ranks.
+    With x_i = l - 1 - element i, C(l, k) - 1 - rank = sum_i C(x_i, k - i) in the
+    combinatorial number system (Buckles & Lybanon 1977): each x_i is the largest x
+    with C(x, k - i) <= the remainder, read from a table exact up to 2**63."""
+    count = _rank_count(l, k)
+    table = np.ones((k + 1, l), dtype=np.uint64)
+    for s in range(1, k + 1):  # C(x, s) = sum of C(y, s - 1) over y < x
+        table[s, :1], table[s, 1:] = 0, np.cumsum(table[s - 1, :-1])
+        table[s, bisect.bisect(range(l), 2**63, key=lambda x: math.comb(x, s)):] = 2**64 - 1
+    rest = (count - 1 - np.asarray(ranks, dtype=np.int64)).astype(np.uint64)
+    out = np.empty((rest.size, k), dtype=np.intp)
+    for i in range(k):
+        x = np.searchsorted(table[k - i], rest, side="right") - 1
+        rest -= table[k - i, x]
+        out[:, i] = l - 1 - x
+    return out
 
 
 def _require_rows(l: int, dim: int):
@@ -234,12 +250,10 @@ def _simulate(p, l, n_matrices, seed, mode, intercept, n_designs):
     if mode == "all":
         subsets = _subsets(l, k, ENUMERATION_CAP)[None]
     else:
-        count = math.comb(l, k)
-        if count > 2**63:
-            raise SizeError(f"C({l},{k}) = {count} subsets exceeds 2**63, the rank draw's range")
-        ranks = [subset_by_rank(l, k, int(rng.integers(0, count)))
-                 for rng in _seeded_streams(derive_seed(seed, 2 * j[:n_matrices] + 1))]
-        subsets = np.array(ranks, dtype=np.intp).reshape(-1, 1, k) - 1
+        count = _rank_count(l, k)
+        ranks = _seeded_draws(derive_seed(seed, 2 * j[:n_matrices] + 1),
+                              lambda rng: rng.integers(0, count))
+        subsets = _subsets_by_rank(l, k, ranks)[:, None]
     stack, log_full = _validated(simulated_design(p, l, seed, j, intercept))
     return stack, log_full, np.array(_weights(stack[:n_matrices], log_full[:n_matrices], subsets))
 

@@ -167,13 +167,13 @@ def omega_rows(rho, n2, n, grid_points, seed):
 
 def elemental_matrix_rows(matrix):
     """Columns set_indices, weight of a provided design matrix plus the weight sum."""
-    weights = elemental.all_weights(matrix)
-    columns = {
-        "set_indices": [" ".join(str(i) for i in ew.indices) for ew in weights],
-        "weight": [ew.weight for ew in weights],
-    }
-    total = float(sum(columns["weight"]))
-    return columns, {"cauchy_binet_sum": total, "cauchy_binet_expected": 1.0}
+    stack, log_full = elemental._validated(elemental._stack_of_one(matrix))
+    l, c = stack.shape[1:]
+    subsets = elemental._subsets(l, c, elemental.ENUMERATION_CAP)
+    weights = elemental._weights(stack, log_full, subsets[None])
+    rows = "\n".join([" ".join(["%d"] * c)] * len(subsets)) % tuple((subsets + 1).ravel().tolist())
+    columns = {"set_indices": rows.split("\n"), "weight": weights}
+    return columns, {"cauchy_binet_sum": float(sum(weights)), "cauchy_binet_expected": 1.0}
 
 
 def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets",

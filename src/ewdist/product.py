@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import betaincinv, digamma
 
 from .approx import approx_shape
@@ -36,6 +35,15 @@ __all__ = [
 
 _GRID_NODES = 1 << 14  # cells of the -ln(factor) grid
 _FACTOR_TAIL = 1e-12
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 2,3,5,7,11-smooth integer >= target: a length pocketfft transforms fast."""
+    odd = [1]
+    for p in (3, 5, 7, 11):
+        odd = [m * p**e for m in odd for e in range((2 * target // m).bit_length())
+               if m * p**e < 2 * target]
+    return min(m << (-(-target // m) - 1).bit_length() for m in odd)
 
 
 @dataclass(frozen=True)
@@ -104,9 +112,9 @@ def _log_grid(rho: int, n2: int):
     masses = np.clip(masses, 0.0, None)
 
     out_len = n2 * (_GRID_NODES - 1) + 1
-    size = next_fast_len(out_len + _GRID_NODES)
-    spectrum = rfft(masses, size)
-    conv = irfft(spectrum**n2, size)[:out_len]
+    size = _next_fast_len(out_len + _GRID_NODES)
+    spectrum = np.fft.rfft(masses, size)
+    conv = np.fft.irfft(spectrum**n2, size)[:out_len]
     conv = np.clip(conv, 0.0, None)
     total = conv.sum()
     if not 0.99 < total < 1.01:

@@ -26,17 +26,21 @@ on how many workers ran.
 There is one derivation: ``_seed_state`` computes the ``SeedSequence``
 arithmetic over whole arrays of seeds and indices, scalars included, and
 ``tests/test_rng.py`` checks it bit for bit against numpy's ``SeedSequence``.
+
+Philox is counter-based, so a stream is its key: each thread keeps one
+generator and re-keys it per stream (`_keyed`), lending it to one draw
+callback at a time (`sample_chunks`, `_seeded_draws`).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 from .specfun import _validate_count
@@ -161,20 +165,19 @@ def _seed_state(columns, n64: int) -> np.ndarray:
     return out.T.reshape(*shape, n64)
 
 
-class _Key(ISeedSequence):
-    """A precomputed Philox key presented as the seed sequence that made it."""
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"holds one 2 x uint64 key, asked for {n_words} x {dtype}")
-        return self.key
+_local = threading.local()  # each thread's one generator
+_ZEROS = np.zeros(4, dtype=np.uint64)
 
 
-def _stream(key: np.ndarray) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_Key(key)))
+def _keyed(key: np.ndarray) -> np.random.Generator:
+    """This thread's generator in the state ``Philox(key=key)`` starts in: counter 0,
+    an empty buffer and no spare 32-bit word, so it draws the bits a new one would."""
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+                               "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def derive_seed(seed, index):
@@ -188,9 +191,9 @@ def derive_seed(seed, index):
     return int(out) if out.ndim == 0 else out
 
 
-def _seeded_streams(seeds) -> list:
-    """Generators ``Philox(SeedSequence([s]))``, one per element of the array `seeds`."""
-    return [_stream(k) for k in _seed_state([_key_array("seed", seeds)], 2).reshape(-1, 2)]
+def _seeded_draws(seeds, draw) -> list:
+    """``draw(Generator(Philox(SeedSequence([s]))))`` for each element s of the array `seeds`."""
+    return [draw(_keyed(k)) for k in _seed_state([_key_array("seed", seeds)], 2).reshape(-1, 2)]
 
 
 def _available_cpus() -> int:
@@ -239,8 +242,8 @@ def sample_chunks(n: int, seed, draw):
     """Assemble n draws from per-chunk streams, identical for any worker count.
 
     `draw(rng, count)` must return an array whose leading axis has length
-    `count`; chunks are concatenated in index order.  With a 1-D array of
-    seeds the result has one row per seed, shape (len(seeds), n, ...),
+    `count`, and not keep `rng`; chunks are concatenated in index order.  With
+    a 1-D array of seeds the result has one row per seed, shape (len(seeds), n, ...),
     and row i equals the draws for seeds[i] alone.
     """
     n = _validate_count("sample size", n)
@@ -256,7 +259,7 @@ def sample_chunks(n: int, seed, draw):
         """The draws of one seed; `row[k]` keys chunk k."""
 
         def one(k: int):
-            return draw(_stream(row[k]), min(CHUNK_SIZE, n - k * CHUNK_SIZE))
+            return draw(_keyed(row[k]), min(CHUNK_SIZE, n - k * CHUNK_SIZE))
 
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

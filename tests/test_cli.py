@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import io
@@ -113,9 +114,12 @@ def test_cli_import_leaves_scipy_integrate_out():
     assert run_python(["-c", code]).returncode == 0
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    code = "import sys, ewdist.cli; sys.exit('multiprocessing' in sys.modules)"
-    assert run_python(["-c", code]).returncode == 0
+def test_cli_import_leaves_scipy_fft_and_multiprocessing_out():
+    code = ("import sys, ewdist.cli; "
+            "print(sorted({'scipy.fft', 'multiprocessing'} & set(sys.modules)))")
+    proc = run_python(["-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_gof_table_default_grid_and_json_schema(tmp_path):
@@ -316,6 +320,23 @@ def test_gnuplot_companion_script(tmp_path):
     assert str(out) in text and "plot" in text
 
 
+def test_gnuplot_script_doubles_quotes_in_the_table_path(tmp_path):
+    out, gp = tmp_path / "it's.csv", tmp_path / "cmp.gp"
+    assert run_cli(["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 100,
+                    "--grid-points", 5, "--out", out, "--gnuplot-script", gp]) == 0
+    quoted = str(out).replace("'", "''")
+    assert gp.read_text().count(f"  '{quoted}' every ::1::6 using 1:") == 2
+
+
+@pytest.mark.parametrize("command", ["compare-cdf", "omega"])
+def test_gnuplot_script_of_a_json_table_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    argv = {"compare-cdf": ["--m1", 3, "--m2", 2, "--nu", 50], "omega": ["--rho", 2, "--n2", 3]}
+    assert run_cli([command, *argv[command], "--n", 100, "--format", "json",
+                    "--out", tmp_path / "t.json", "--gnuplot-script", tmp_path / "t.gp"]) == 2
+    assert "--gnuplot-script" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_presets_and_flag_override(tmp_path):
     cfg = tmp_path / "ew.cfg"
     cfg.write_text("# defaults\nn=40\ngrid-points=10\nunknown_key=ignored\n")
@@ -512,6 +533,42 @@ def test_table_bytes_match_reference_writer(case, fmt, tmp_path, monkeypatch):
     else:
         expected = ref_json_bytes(argv, argv[0], header, rows, summary)
     assert out.read_bytes() == expected
+
+
+JSON_TABLES = {
+    "empty": {"i": np.arange(0), "x": [], "s": []},
+    "bools-and-ints": {"flag": np.array([True, False, True]), "i": [0, -3, 2**62],
+                       "u": np.arange(3, dtype=np.uint64)},
+    "floats": {"x": np.array([-0.0, 5e-324, 1e-05, 1e300, 0.1, -0.5]),
+               "y": [0.0, -1e-4, 2.5, 1.0, 123456.789, 7.0]},
+    "strings": {"s": ['say "hi"', "back\\slash", "naïve ω €", "tab\t,comma"], "w": np.ones(4)},
+    "blocks": {"i": np.arange(10), "x": np.linspace(-1.0, 1.0, 10), "s": list("abcdefghij")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_TABLES))
+def test_json_rows_match_json_dumps(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)  # "blocks" spans four blocks
+    columns, out = JSON_TABLES[name], tmp_path / "t.json"
+    args = argparse.Namespace(command="t", format="json", out=out, seed=1)
+    cli._emit_table(args, columns, {"md": 0.125, "n": None})
+    rows = [list(row) for row in zip(*(np.asarray(c).tolist() for c in columns.values()))]
+    payload = {"command": "t", "parameters": {"seed": 1}, "columns": list(columns),
+               "rows": rows, "summary": {"md": 0.125, "n": None}}
+    want = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert out.read_text(encoding="ascii") == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_json_rows_refuse_non_finite_floats_as_json_dumps(bad, tmp_path):
+    out = tmp_path / "t.json"
+    args = argparse.Namespace(command="t", format="json", out=out, seed=1)
+    with pytest.raises(ValueError) as ours:
+        cli._emit_table(args, {"x": np.array([0.5, bad])})
+    with pytest.raises(ValueError) as ref:
+        json.dumps([[0.5], [bad]], indent=2, allow_nan=False)
+    assert str(ours.value) == str(ref.value)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])

@@ -295,6 +295,38 @@ def test_subset_by_rank_matches_lexicographic():
         subset_by_rank(7, 3, len(combos))
 
 
+@pytest.mark.parametrize("l,k", [(7, 3), (12, 4), (30, 2), (9, 9), (5, 1)])
+def test_array_ranks_match_itertools(l, k):
+    want = np.array(list(combinations(range(l), k)), dtype=np.intp).reshape(-1, k)
+    got = elemental._subsets_by_rank(l, k, np.arange(len(want)))
+    assert got.dtype == np.intp and np.array_equal(got, want)
+
+
+def _lex_rank(l, subset):
+    """Lexicographic rank of a 1-based k-subset of {1..l}, by counting the ones before it."""
+    rank, start, k = 0, 1, len(subset)
+    for slot, v in enumerate(subset):
+        rank += sum(math.comb(l - u, k - slot - 1) for u in range(start, v))
+        start = v + 1
+    return rank
+
+
+def test_array_ranks_at_large_l_and_near_2_63():
+    count = math.comb(100_000, 3)
+    got = elemental._subsets_by_rank(100_000, 3, np.array([0, count - 1])) + 1
+    assert got.tolist() == [[1, 2, 3], [99_998, 99_999, 100_000]]
+    # C(66, 33) is just below 2**63; at (79, 58) and (104, 89) a table wrapped
+    # past 2**64 instead of saturated would misplace some of these ranks
+    gen = np.random.default_rng(1)
+    for l, k in ((66, 33), (79, 58), (104, 89)):
+        count = math.comb(l, k)
+        ranks = gen.integers(0, count, 200).tolist() + [count - 1, count - 2, 1, 0]
+        for rank, subset in zip(ranks, elemental._subsets_by_rank(l, k, np.array(ranks))):
+            assert _lex_rank(l, (subset + 1).tolist()) == rank
+    with pytest.raises(SizeError, match="exceeds 2\\*\\*63"):
+        subset_by_rank(67, 34, 0)
+
+
 def test_simulate_outputs_in_unit_interval():
     p = MvtParams(2, 50.0, np.eye(2))
     w = simulate_weight_distribution(p, 7, 40, 11)

@@ -164,3 +164,13 @@ def test_spec_validation():
         ProductSpec(0, 3)
     with pytest.raises(DomainError):
         ProductSpec(2, 0)
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    from ewdist.product import _GRID_NODES, _next_fast_len
+
+    targets = list(range(1, 3000)) + [n2 * (_GRID_NODES - 1) + 1 + _GRID_NODES
+                                      for n2 in (2, 3, 40, 97, 150, 1000)]
+    assert [_next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]

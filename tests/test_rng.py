@@ -49,17 +49,67 @@ def test_key_streams_match_seed_sequence_streams():
     for entropy in ([5, rng._CHUNK_TAG, 0], [2**64 - 1, rng._CHUNK_TAG, 2**32], [2**40]):
         columns = [np.array(e, dtype=np.uint64) for e in entropy]
         key = rng._seed_state(columns, 2)
-        ours = rng._stream(key).bit_generator.random_raw(1000)
+        ours = rng._keyed(key).bit_generator.random_raw(1000)
         ref = np.random.Philox(np.random.SeedSequence(entropy=entropy)).random_raw(1000)
         assert np.array_equal(ours, ref)
 
 
-def test_key_refuses_other_requests():
-    key = rng._Key(np.zeros(2, dtype=np.uint64))
-    assert key.generate_state(2, np.uint64) is key.key
-    for n_words, dtype in ((1, np.uint64), (4, np.uint64), (2, np.uint32), (4, np.uint32)):
-        with pytest.raises(ValueError):
-            key.generate_state(n_words, dtype)
+# Integers below 2**32 and float32 draws take 32-bit words, the others 64-bit
+# words.  A power-of-two range rejects no word, so a stale spare word shows.
+REKEY_DRAWS = {
+    "standard_gamma": lambda gen, n: gen.standard_gamma(2.5, n),
+    "beta": lambda gen, n: gen.beta(1.25, 1.0, n),
+    "standard_normal": lambda gen, n: gen.standard_normal((n, 2)),
+    "chisquare": lambda gen, n: gen.chisquare(50.0, n),
+    "random_float32": lambda gen, n: gen.random(n, dtype=np.float32),
+    "integers_small": lambda gen, n: gen.integers(0, 35, n),
+    "integers_2**20": lambda gen, n: gen.integers(0, 2**20, n),
+    "integers_2**32": lambda gen, n: gen.integers(0, 2**32 + 1, n),
+    "integers_2**63": lambda gen, n: gen.integers(0, 2**63, n),
+}
+
+
+def _fresh(entropy):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def _leave_half_word(gen):
+    """Draw 32-bit words until a spare one and a part-used buffer are left behind."""
+    state = gen.bit_generator.state
+    while not (state["has_uint32"] == 1 and state["buffer_pos"] < 4):
+        gen.integers(0, 10, dtype=np.uint32)
+        state = gen.bit_generator.state
+
+
+@pytest.mark.parametrize("name", REKEY_DRAWS)
+def test_rekeyed_stream_draws_as_a_fresh_generator(name):
+    draw = REKEY_DRAWS[name]
+    seeds = np.array([0, 7, 2**40, 2**64 - 1], dtype=np.uint64)
+
+    def dirty_after(gen):
+        out = draw(gen, 1000)
+        _leave_half_word(gen)
+        return out
+
+    got = rng._seeded_draws(seeds, dirty_after)
+    for out, seed in zip(got, seeds):
+        assert np.array_equal(out, draw(_fresh([int(seed)]), 1000))
+
+
+@pytest.mark.parametrize("name", REKEY_DRAWS)
+def test_rekeyed_chunk_streams_in_pool_threads(monkeypatch, name):
+    # two pool threads for five chunks: a thread re-keys after its own dirty stream
+    monkeypatch.setattr("ewdist.rng._available_cpus", lambda: 2)
+    draw, n, seed = REKEY_DRAWS[name], 4 * CHUNK_SIZE + 5, 2**63 + 11
+
+    def dirty_after(gen, count):
+        out = draw(gen, count)
+        _leave_half_word(gen)
+        return out
+
+    want = [draw(_fresh([seed, rng._CHUNK_TAG, k]), min(CHUNK_SIZE, n - k * CHUNK_SIZE))
+            for k in range(5)]
+    assert np.array_equal(sample_chunks(n, seed, dirty_after), np.concatenate(want))
 
 
 @pytest.mark.parametrize("parent", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
