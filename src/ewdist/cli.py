@@ -4,12 +4,13 @@
 
 Commands: simulate-w, compare-cdf, gof-table, omega, elemental,
 certify-bounds.  Exit codes: 0 success, 2 usage or domain error (an input
-file that is not UTF-8 included), a size too large to allocate or a killed
-worker process, 3 I/O failure, 4 numeric non-convergence or non-finite W
-draws.  A command writes all its files, the table or report and then any
-gnuplot script, as UTF-8 in one call; if anything fails, every regular,
-non-symlink file it opened is removed.  A config file of key=value lines
-can pre-set any flag of the invoked command; explicit flags override it.
+file that is not UTF-8 or holds no rows, and a --gnuplot-script that names
+the --out file, included), a size too large to allocate or a killed worker
+process, 3 I/O failure, 4 numeric non-convergence or non-finite W draws.
+A command writes all its files, the table or report and then any gnuplot
+script, as UTF-8 in one call; if anything fails, every regular, non-symlink
+file it opened is removed.  A config file of key=value lines can pre-set
+any flag of the invoked command; explicit flags override it.
 Outputs are byte-identical for identical (flags, seed), whatever the
 number of worker threads or processes.  On exit 4 the error's diagnostics
 follow the message on stderr as sorted key=value pairs.
@@ -21,13 +22,15 @@ format per block.  Floats with 1e-4 <= |x| < 1 take repr's digits from an
 exact vectorized kernel, other floats and doubtful cells from `repr`.  No
 cell is ever quoted; a string cell that would need quoting (a comma, a double
 quote, CR or LF) raises ValueError instead.  Summary values follow the body
-as key,value rows.  A body of at least four full 65,536-row blocks is
-formatted in forked worker processes, one per available CPU up to the
-number of blocks; the parent writes the blocks in order, so the bytes
-never depend on the worker count.  `gof-table` may also run its grid rows
-in forked workers (see `pipelines.gof_table_rows`); both pools are
-`rng._fork_map`, and a worker's error or death reaches `main` like any
-other, as exit 2.
+as key,value rows.  JSON output is the `json.dumps(indent=2, sort_keys=True)`
+text of {command, parameters, columns, rows, summary}; its rows are made
+from the same column blocks, strings escaped as `json` escapes them.  In
+either format a body of at least four full 65,536-row blocks is formatted
+in forked worker processes, one per available CPU up to the number of
+blocks; the parent writes the blocks in order, so the bytes never depend
+on the worker count.  `gof-table` may also run its grid rows in forked
+workers (see `pipelines.gof_table_rows`); both pools are `rng._fork_map`,
+and a worker's error or death reaches `main` like any other, as exit 2.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ import re
 import sys
 from concurrent.futures import BrokenExecutor
 from contextlib import nullcontext
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -53,8 +57,9 @@ __all__ = ["main", "build_parser"]
 
 
 _BLOCK_ROWS = 1 << 16
-# Fork from this many full blocks on.  Median cli.main of `ew simulate-w`, serial vs forked, on
-# 2 CPUs only: 80 vs 94 ms at 2 blocks, 147 vs 141 at 3, 181 vs 156 at 4, 420 vs 268 at 8.
+# Fork from this many full blocks on, in either format.  Median cli.main of `ew simulate-w`, serial
+# vs forked, on 2 CPUs only, at 2, 3, 4 and 8 blocks: CSV 80 vs 94 ms, 147 vs 141, 181 vs 156 and
+# 420 vs 268; JSON 95 vs 125, 142 vs 151, 183 vs 182 and 340 vs 293.
 _FORK_BLOCKS = 4
 _NEEDS_QUOTING = re.compile(r'[,"\r\n]')
 _FLOAT_PREFIXES = np.array([s + "0." + "0" * z for s in ("", "-") for z in range(4)], dtype=object)
@@ -142,16 +147,17 @@ def _column_slots(values, as_json=False):
 
 def _block_text(block, as_json=False) -> str:
     """CSV text of a block of rows, given as one slice per column, by one `%` format; with
-    `as_json`, the rows as `json.dumps(indent=2)` writes them in a top-level key, each + ",\n"."""
+    `as_json`, the rows as `json.dumps(indent=2)` writes them in a top-level key, joined
+    by ",\n", with no separator before the first row or after the last."""
     conversions, slot_lists = zip(*(_column_slots(col, True) for col in block) if as_json
                                   else map(_column_slots, block))
     slots = [slot for lists in slot_lists for slot in lists]
     cells = [None] * (len(slots[0]) * len(slots))
     for i, slot in enumerate(slots):
-        cells[i::len(slots)] = slot  # ValueError if the columns differ in length
-    row = ("    [\n      " + ",\n      ".join(conversions) + "\n    ],\n" if as_json
-           else ",".join(conversions) + "\r\n")
-    return row * len(slots[0]) % tuple(cells)
+        cells[i::len(slots)] = slot
+    row, sep = (("    [\n      " + ",\n      ".join(conversions) + "\n    ]", ",\n") if as_json
+                else (",".join(conversions) + "\r\n", ""))
+    return sep.join([row] * len(slots[0])) % tuple(cells)
 
 
 def _write(outputs):
@@ -170,47 +176,40 @@ def _write(outputs):
         raise
 
 
-def _write_csv(path, columns, footer=(), others=()):
-    """Header, the body `_BLOCK_ROWS` rows at a time, each column formatted once,
-    and the footer rows, written by one `_write` call before the `others`.
-
-    A body of `_FORK_BLOCKS` or more full blocks is formatted in forked workers,
-    which start before any file is opened; the blocks are written in order.
-    """
-    n_rows = len(next(iter(columns.values())))
-    blocks = ([col[start:start + _BLOCK_ROWS] for col in columns.values()]
-              for start in range(0, n_rows, _BLOCK_ROWS))
-    serial = n_rows < _FORK_BLOCKS * _BLOCK_ROWS  # too little text to repay the fork
-    with (nullcontext(map(_block_text, blocks)) if serial
-          else rng._fork_map(_block_text, blocks)) as body:
-        header = [",".join(_unquoted(list(columns))) + "\r\n"]
-        tail = (",".join(_unquoted(list(map(_fmt, row)))) + "\r\n" for row in footer)
-        _write([(path, chain(header, body, tail)), *others])
-
-
-def _json_output(path, payload):
-    return path, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"]
-
-
 def _emit_table(args, columns, summary=None, others=()):
-    """Write an ordered {header: 1-D array or list} table and its summary, then `others`."""
-    summary = summary or {}
-    if args.format == "json":
-        parameters = {
-            k: v for k, v in vars(args).items()
-            if k not in ("command", "func", "out", "format", "config", "gnuplot_script")
-            and v is not None
-        }
-        body = _block_text(list(columns.values()), as_json=True)
-        path, (text,) = _json_output(args.out, {"command": args.command, "parameters": parameters,
-                                                "columns": list(columns), "rows": [],
-                                                "summary": summary})
-        if body:  # the rows in place of the empty list, indented as json.dumps indents them
-            text = text.replace('\n  "rows": []', '\n  "rows": [\n' + body[:-2] + "\n  ]", 1)
-        _write([(path, [text]), *others])
+    """Write an ordered {header: 1-D array or list} table and its summary, then `others`,
+    by one `_write` call.  The body is formatted `_BLOCK_ROWS` rows at a time, each column
+    once per block; from `_FORK_BLOCKS` full blocks on, in forked workers, which start
+    before any file is opened.  The blocks are written in order.
+    """
+    summary, as_json = summary or {}, args.format == "json"
+    lengths = {len(col) for col in columns.values()}
+    if len(lengths) != 1:
+        raise ValueError(f"table columns must have one length, got {sorted(lengths)}")
+    n_rows = lengths.pop()
+    if as_json:
+        parameters = {k: v for k, v in vars(args).items() if v is not None and k not in
+                      ("command", "func", "out", "format", "config", "gnuplot_script")}
+        text = json.dumps({"command": args.command, "parameters": parameters,
+                           "columns": list(columns), "rows": [], "summary": summary},
+                          indent=2, sort_keys=True, allow_nan=False) + "\n"
+        head, tail = text.split('\n  "rows": []')
+        # the rows in place of the empty list, indented as json.dumps indents them
+        head, tail = (head + '\n  "rows": [\n', "\n  ]" + tail) if n_rows else (text, "")
+        head, sep, tail = [head], ",\n", [tail]
     else:
         pad = ("",) * max(0, len(columns) - 2)
-        _write_csv(args.out, columns, [(k, v) + pad for k, v in summary.items()], others)
+        head, sep = [",".join(_unquoted(list(columns))) + "\r\n"], ""
+        tail = (",".join(_unquoted(list(map(_fmt, (k, v) + pad)))) + "\r\n"
+                for k, v in summary.items())
+    blocks = ([col[start:start + _BLOCK_ROWS] for col in columns.values()]
+              for start in range(0, n_rows, _BLOCK_ROWS))
+    block_text = partial(_block_text, as_json=as_json)
+    serial = n_rows < _FORK_BLOCKS * _BLOCK_ROWS  # too little text to repay the fork
+    with (nullcontext(map(block_text, blocks)) if serial
+          else rng._fork_map(block_text, blocks)) as body:
+        body = chain.from_iterable(zip(chain([""], repeat(sep)), body))  # blocks joined by sep
+        _write([(args.out, chain(head, body, tail)), *others])
 
 
 def _gnuplot(args, n_rows, title, ycols):
@@ -309,7 +308,8 @@ def _cmd_certify_bounds(args):
     n_u, n_w = _parse_grid_spec(args.grid)
     setting = approx.RatioSetting(args.m1, args.m2, args.nu1, args.nu2)
     report = approx.certify_bounds(setting, n_u=n_u, n_w=n_w)
-    _write([_json_output(args.out, {**report, "command": args.command, "seed": args.seed})])
+    _write([(args.out, [json.dumps({**report, "command": args.command, "seed": args.seed},
+                                   indent=2, sort_keys=True, allow_nan=False) + "\n"])])
 
 
 def build_parser():
@@ -428,8 +428,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_inject_config(argv, commands))
         rng._key_array("seed", args.seed)
-        if getattr(args, "gnuplot_script", None) and args.format == "json":
+        script = getattr(args, "gnuplot_script", None)
+        if script and args.format == "json":
             raise DomainError("--gnuplot-script plots the CSV table; it cannot read --format json")
+        if script and os.path.realpath(script) == os.path.realpath(args.out):
+            raise DomainError(f"--gnuplot-script and --out name the same file {args.out}")
         args.func(args)
         return 0
     except NumericError as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,6 +262,10 @@ def _simulate(p, l, n_matrices, seed, mode, intercept, n_designs):
 def load_design_csv(path) -> np.ndarray:
     """Parse a headerless CSV of reals into a 2-D array; the weight functions validate it."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # numpy warns of a file with no data lines, and returns 0x1
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+    except UserWarning:
+        raise DomainError(f"design matrix CSV {path} holds no rows") from None
     except ValueError as exc:
         raise DomainError(f"could not parse design matrix CSV {path}: {exc}") from exc

@@ -277,6 +277,17 @@ def test_missing_matrix_file_exits_3(tmp_path):
     ) == 3
 
 
+@pytest.mark.parametrize("text", ["", "# a comment only\n\n"], ids=["empty", "comment-only"])
+def test_matrix_file_without_rows_exits_2_with_one_message(tmp_path, text):
+    matrix, out = tmp_path / "m.csv", tmp_path / "o.csv"
+    matrix.write_text(text)
+    proc = run_python(["-m", "ewdist.cli", "elemental", "--matrix", str(matrix), "--out", str(out)],
+                      capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"ew: design matrix CSV {matrix} holds no rows\n"
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_3(tmp_path):
     assert run_cli(
         ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 10,
@@ -335,6 +346,23 @@ def test_gnuplot_script_of_a_json_table_exits_2_and_writes_nothing(tmp_path, cap
                     "--out", tmp_path / "t.json", "--gnuplot-script", tmp_path / "t.gp"]) == 2
     assert "--gnuplot-script" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["compare-cdf", "omega"])
+@pytest.mark.parametrize("spelling", ["same", "relative", "dot", "symlink"])
+def test_gnuplot_script_naming_the_table_exits_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                                    capsys, command, spelling):
+    argv = {"compare-cdf": ["--m1", 3, "--m2", 2, "--nu", 50], "omega": ["--rho", 2, "--n2", 3]}
+    (tmp_path / "d").mkdir()
+    (tmp_path / "l").symlink_to("d")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "d" / "t.csv"
+    script = {"same": out, "relative": "d/t.csv", "dot": f"{tmp_path}/d/./t.csv",
+              "symlink": tmp_path / "l" / "t.csv"}[spelling]
+    assert run_cli([command, *argv[command], "--n", 100, "--out", out,
+                    "--gnuplot-script", script]) == 2
+    assert capsys.readouterr().err == f"ew: --gnuplot-script and --out name the same file {out}\n"
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_config_file_presets_and_flag_override(tmp_path):
@@ -535,6 +563,11 @@ def test_table_bytes_match_reference_writer(case, fmt, tmp_path, monkeypatch):
     assert out.read_bytes() == expected
 
 
+def table_args(out, fmt):
+    """The arguments `cli._emit_table` reads, for a table of command "t" with seed 1."""
+    return argparse.Namespace(command="t", format=fmt, out=out, seed=1)
+
+
 JSON_TABLES = {
     "empty": {"i": np.arange(0), "x": [], "s": []},
     "bools-and-ints": {"flag": np.array([True, False, True]), "i": [0, -3, 2**62],
@@ -550,8 +583,7 @@ JSON_TABLES = {
 def test_json_rows_match_json_dumps(name, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)  # "blocks" spans four blocks
     columns, out = JSON_TABLES[name], tmp_path / "t.json"
-    args = argparse.Namespace(command="t", format="json", out=out, seed=1)
-    cli._emit_table(args, columns, {"md": 0.125, "n": None})
+    cli._emit_table(table_args(out, "json"), columns, {"md": 0.125, "n": None})
     rows = [list(row) for row in zip(*(np.asarray(c).tolist() for c in columns.values()))]
     payload = {"command": "t", "parameters": {"seed": 1}, "columns": list(columns),
                "rows": rows, "summary": {"md": 0.125, "n": None}}
@@ -562,9 +594,8 @@ def test_json_rows_match_json_dumps(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_json_rows_refuse_non_finite_floats_as_json_dumps(bad, tmp_path):
     out = tmp_path / "t.json"
-    args = argparse.Namespace(command="t", format="json", out=out, seed=1)
     with pytest.raises(ValueError) as ours:
-        cli._emit_table(args, {"x": np.array([0.5, bad])})
+        cli._emit_table(table_args(out, "json"), {"x": np.array([0.5, bad])})
     with pytest.raises(ValueError) as ref:
         json.dumps([[0.5], [bad]], indent=2, allow_nan=False)
     assert str(ours.value) == str(ref.value)
@@ -573,41 +604,69 @@ def test_json_rows_refuse_non_finite_floats_as_json_dumps(bad, tmp_path):
 
 @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
 def test_csv_writer_refuses_cells_that_need_quoting(char, tmp_path):
+    out = tmp_path / "x.csv"
     with pytest.raises(ValueError, match="quoting"):
-        cli._write_csv(tmp_path / "x.csv", {"a": ["1 2", f"3{char}4"], "b": [0.5, 0.25]})
+        cli._emit_table(table_args(out, "csv"), {"a": ["1 2", f"3{char}4"], "b": [0.5, 0.25]})
+    assert not out.exists()
 
 
-def test_csv_body_formatted_in_workers_matches_reference_writer(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("lengths", [(3, 4), (4, 3), (3, 3, 7)])
+def test_table_columns_of_unequal_length_raise_and_leave_no_file(lengths, fmt, tmp_path,
+                                                                  monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)  # a longer column reaches into a later block
+    out = tmp_path / f"t.{fmt}"
+    columns = {name: np.arange(n) for name, n in zip("abc", lengths)}
+    with pytest.raises(ValueError, match="table columns must have one length"):
+        cli._emit_table(table_args(out, fmt), columns)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_csv_body_formatted_in_workers_matches_reference_writer(fmt, tmp_path, monkeypatch,
+                                                                capsys):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 64)  # 1,000 rows: 15 full blocks and a partial one
     floats = np.random.default_rng(6).normal(size=1000) * 10.0 ** np.arange(-10, 10).repeat(50)
-    floats[[0, 100, 500, 640, 998, 999]] = [-0.0, 1e-05, 1e16, 5e-324, np.inf, np.nan]
+    floats[[0, 100, 500, 640]] = [-0.0, 1e-05, 1e16, 5e-324]
+    if fmt == "csv":  # JSON refuses non-finite floats; see below
+        floats[[998, 999]] = [np.inf, np.nan]
     columns = {
         "i": np.arange(1000), "x": floats, "flag": np.arange(1000) % 3 == 0,
         "s": [f"{i} {i + 1}" for i in range(1000)],
     }
     summary = {"md": 0.125, "n": 1000}
-    footer = [(k, v, "", "") for k, v in summary.items()]
     rows = list(zip(*(np.asarray(col).tolist() for col in columns.values())))
-    expected = ref_csv_bytes(list(columns), rows, summary)
-    out = tmp_path / "body.csv"
+    if fmt == "csv":
+        expected = ref_csv_bytes(list(columns), rows, summary)
+    else:
+        expected = (json.dumps({"command": "t", "parameters": {"seed": 1},
+                                "columns": list(columns), "rows": rows, "summary": summary},
+                               indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    out = tmp_path / f"body.{fmt}"
     for cpus in (1, 2, 4):
         monkeypatch.setattr("ewdist.rng._available_cpus", lambda: cpus)
-        cli._write_csv(out, columns, footer)
+        cli._emit_table(table_args(out, fmt), columns, summary)
         assert out.read_bytes() == expected, cpus
         assert multiprocessing.active_children() == []
 
-    # a worker's error reaches the parent with its type and message
+    # a worker's error in a later block reaches the parent with its type and message, and
+    # the file the parent had opened is removed
     monkeypatch.setattr("ewdist.rng._available_cpus", lambda: 2)
-    columns["s"][-1] = "999,1000"
-    with pytest.raises(ValueError, match="quoting"):
-        cli._write_csv(out, columns, footer)
+    if fmt == "csv":
+        columns["s"][-1], match = "999,1000", "quoting"
+    else:
+        columns["x"][-1], match = np.nan, "Out of range float values are not JSON compliant"
+    with pytest.raises(ValueError, match=match):
+        cli._emit_table(table_args(out, fmt), columns, summary)
+    assert not out.exists()
     assert multiprocessing.active_children() == []
 
-    def no_memory(values):
+    def no_memory(values, as_json=False):
         raise MemoryError("Unable to allocate 1.00 TiB")
 
     monkeypatch.setattr(cli, "_column_slots", no_memory)
-    argv = ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 1000, "--out", out]
+    argv = ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 1000, "--format", fmt,
+            "--out", out]
     assert run_cli(argv) == 2
     assert capsys.readouterr().err == "ew: out of memory: Unable to allocate 1.00 TiB\n"
     assert not out.exists()
@@ -702,39 +761,45 @@ from ewdist import cli, rng
 
 parent, real = os.getpid(), cli._column_slots
 
-def killed(values):
+def killed(values, as_json=False):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
-    return real(values)
+    return real(values, as_json)
 
 cli._BLOCK_ROWS, cli._column_slots = 64, killed
 rng._available_cpus = lambda: 2
 """
 
 KILLED_WORKER_CHILD = KILLED_WORKER_SETUP + r"""
+import argparse
+args = argparse.Namespace(command="t", format=sys.argv[1], out=os.devnull)
 try:
-    cli._write_csv(os.devnull, {"x": np.arange(1000.0)})
+    cli._emit_table(args, {"x": np.arange(1000.0)})
 except BrokenProcessPool:
     print(len(multiprocessing.active_children()))
 """
 
 
-def test_killed_csv_worker_fails_the_command_instead_of_hanging():
-    proc = run_python(["-c", KILLED_WORKER_CHILD], capture_output=True, text=True, timeout=60)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_killed_csv_worker_fails_the_command_instead_of_hanging(fmt):
+    proc = run_python(["-c", KILLED_WORKER_CHILD, fmt], capture_output=True, text=True,
+                      timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 KILLED_WORKER_MAIN_CHILD = KILLED_WORKER_SETUP + r"""
-out = sys.argv[1]
-code = cli.main(["simulate-w", "--m1", "3", "--m2", "2", "--nu", "50", "--n", "1000", "--out", out])
+out, fmt = sys.argv[1:]
+code = cli.main(["simulate-w", "--m1", "3", "--m2", "2", "--nu", "50", "--n", "1000",
+                 "--format", fmt, "--out", out])
 print(code, len(multiprocessing.active_children()))
 """
 
 
-def test_killed_csv_worker_exits_2_and_leaves_no_output(tmp_path):
-    out = tmp_path / "w.csv"
-    proc = run_python(["-c", KILLED_WORKER_MAIN_CHILD, str(out)], capture_output=True, text=True,
-                      timeout=60)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_killed_csv_worker_exits_2_and_leaves_no_output(fmt, tmp_path):
+    out = tmp_path / f"w.{fmt}"
+    proc = run_python(["-c", KILLED_WORKER_MAIN_CHILD, str(out), fmt], capture_output=True,
+                      text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "2 0\n"), proc.stderr
     assert proc.stderr.startswith("ew: a worker process was killed, e.g. for lack of memory: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
