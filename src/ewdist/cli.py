@@ -431,7 +431,9 @@ def main(argv=None) -> int:
         script = getattr(args, "gnuplot_script", None)
         if script and args.format == "json":
             raise DomainError("--gnuplot-script plots the CSV table; it cannot read --format json")
-        if script and os.path.realpath(script) == os.path.realpath(args.out):
+        both_exist = script and os.path.exists(script) and os.path.exists(args.out)
+        if script and (os.path.realpath(script) == os.path.realpath(args.out)
+                       or both_exist and os.path.samefile(script, args.out)):  # a hard link
             raise DomainError(f"--gnuplot-script and --out name the same file {args.out}")
         args.func(args)
         return 0

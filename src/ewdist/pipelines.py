@@ -16,6 +16,8 @@ on the worker count.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import approx, elemental, goftests, product, rng
@@ -192,10 +194,12 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
         params, l, n_matrices, seed, mode, intercept, max(n_matrices, 1)
     )
 
-    # weight-sum check on matrix 0, drawn even when no weights are asked for
-    k = rho + 1
-    subsets = elemental._subsets(l, k, elemental.ENUMERATION_CAP)[None]
-    cb_sum = float(sum(elemental._weights(stack[:1], log_full[:1], subsets)))
+    # weight-sum check on matrix 0, drawn even when no weights are asked for;
+    # None past the enumeration cap
+    k, cb_sum = rho + 1, None
+    if math.comb(l, k) <= elemental.ENUMERATION_CAP:
+        subsets = elemental._subsets(l, k, elemental.ENUMERATION_CAP)[None]
+        cb_sum = float(sum(elemental._weights(stack[:1], log_full[:1], subsets)))
 
     summary = {
         "cauchy_binet_sum_first_matrix": cb_sum,

@@ -14,8 +14,9 @@ keyed by numpy's ``SeedSequence`` over a short list of 64-bit entries:
 All sampling is chunked: a request for n draws is split into fixed-size
 chunks, concatenated in chunk order, so the result depends only on
 (seed, parameters, n) and never on how many workers processed the chunks.
-Chunks run on one thread per CPU available to the process, capped at the
-chunk count; a single chunk runs in the calling thread.
+A sampler call draws every chunk of every seed through one thread pool,
+one thread per CPU available to the process, capped at the chunks per
+seed; seeds of one chunk draw on the calling thread.
 
 `_fork_map` is the one process pool: it maps a module-level function over
 items in forked workers and returns the results in item order.  The CSV
@@ -253,22 +254,16 @@ def sample_chunks(n: int, seed, draw):
     n_chunks = (n + CHUNK_SIZE - 1) // CHUNK_SIZE
     workers = min(_available_cpus(), n_chunks)
     chunks = np.arange(n_chunks, dtype=np.uint64)
-    keys = _seed_state([seeds.reshape(-1, 1), _CHUNK_TAG, chunks], 2)
+    keys = _seed_state([seeds.reshape(-1, 1), _CHUNK_TAG, chunks], 2).reshape(-1, 2)
 
-    def assemble(row):
-        """The draws of one seed; `row[k]` keys chunk k."""
+    def one(i: int):
+        """Pair i, seed-major: chunk i % n_chunks of seed i // n_chunks."""
+        return draw(_keyed(keys[i]), min(CHUNK_SIZE, n - i % n_chunks * CHUNK_SIZE))
 
-        def one(k: int):
-            return draw(_keyed(row[k]), min(CHUNK_SIZE, n - k * CHUNK_SIZE))
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(one, range(n_chunks)))
-        else:
-            parts = [one(k) for k in range(n_chunks)]
-        return parts[0] if n_chunks == 1 else np.concatenate(parts, axis=0)
-
-    rows = [assemble(row) for row in keys]
-    if seeds.ndim == 0:
-        return rows[0]
-    return np.stack(rows) if rows else np.empty((0, n))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(one, range(len(keys))))
+    else:
+        parts = list(map(one, range(len(keys))))
+    out = np.concatenate(parts or [np.empty(0)])  # no seeds: shape (0, n)
+    return out.reshape(*seeds.shape, n, *out.shape[1:])

@@ -233,6 +233,28 @@ def test_elemental_generate_mode(tmp_path):
     assert weights == [pytest.approx(1.0, abs=1e-12)] * 8
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sampled_sets_past_the_enumeration_cap_reports_no_weight_sum(tmp_path, monkeypatch,
+                                                                    capsys, fmt):
+    from ewdist import elemental
+    monkeypatch.setattr(elemental, "ENUMERATION_CAP", 34)  # C(7, 3) = 35
+    gen = ["elemental", "--generate", "--rho", 2, "--nu", 50, "--l", 7, "--n-matrices", 4,
+           "--format", fmt]
+    out = tmp_path / f"gen.{fmt}"
+    assert run_cli([*gen, "--out", out]) == 0
+    if fmt == "json":
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["cauchy_binet_sum_first_matrix"] is None
+        assert summary["n_weights"] == 4
+    else:
+        lines = out.read_text().splitlines()
+        assert "cauchy_binet_sum_first_matrix,None" in lines
+        assert "n_weights,4" in lines
+    assert run_cli([*gen, "--mode", "all", "--out", tmp_path / f"all.{fmt}"]) == 2
+    assert "C(7,3) = 35 subsets exceeds the cap 34" in capsys.readouterr().err
+    assert not (tmp_path / f"all.{fmt}").exists()
+
+
 @pytest.mark.parametrize("mode", ["sampled-sets", "all"])
 def test_elemental_negative_n_matrices_exits_2(tmp_path, capsys, mode):
     out = tmp_path / "gen.csv"
@@ -349,7 +371,7 @@ def test_gnuplot_script_of_a_json_table_exits_2_and_writes_nothing(tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["compare-cdf", "omega"])
-@pytest.mark.parametrize("spelling", ["same", "relative", "dot", "symlink"])
+@pytest.mark.parametrize("spelling", ["same", "relative", "dot", "symlink", "hardlink"])
 def test_gnuplot_script_naming_the_table_exits_2_and_writes_nothing(tmp_path, monkeypatch,
                                                                     capsys, command, spelling):
     argv = {"compare-cdf": ["--m1", 3, "--m2", 2, "--nu", 50], "omega": ["--rho", 2, "--n2", 3]}
@@ -357,12 +379,16 @@ def test_gnuplot_script_naming_the_table_exits_2_and_writes_nothing(tmp_path, mo
     (tmp_path / "l").symlink_to("d")
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "d" / "t.csv"
+    if spelling == "hardlink":  # an existing table and a second name for it
+        out.write_text("w,ecdf_w\n")
+        os.link(out, tmp_path / "d" / "t2.csv")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
     script = {"same": out, "relative": "d/t.csv", "dot": f"{tmp_path}/d/./t.csv",
-              "symlink": tmp_path / "l" / "t.csv"}[spelling]
+              "symlink": tmp_path / "l" / "t.csv", "hardlink": tmp_path / "d" / "t2.csv"}[spelling]
     assert run_cli([command, *argv[command], "--n", 100, "--out", out,
                     "--gnuplot-script", script]) == 2
     assert capsys.readouterr().err == f"ew: --gnuplot-script and --out name the same file {out}\n"
-    assert list((tmp_path / "d").iterdir()) == []
+    assert {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()} == before
 
 
 def test_config_file_presets_and_flag_override(tmp_path):

@@ -157,8 +157,8 @@ def test_scalar_sample_chunks_matches_seed_sequence_streams(monkeypatch, cpus, s
     assert np.array_equal(sample_chunks(n, seed, _gamma), np.concatenate(want))
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
-@pytest.mark.parametrize("n", [1, 200, CHUNK_SIZE + 17])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 200, CHUNK_SIZE + 17, 2 * CHUNK_SIZE + 5])
 def test_array_sample_chunks_rows_equal_one_seed_calls(monkeypatch, cpus, n):
     monkeypatch.setattr("ewdist.rng._available_cpus", lambda: cpus)
     seeds = np.array([0, 1, 2**32, 2**64 - 1, 123456789], dtype=np.uint64)
@@ -167,6 +167,22 @@ def test_array_sample_chunks_rows_equal_one_seed_calls(monkeypatch, cpus, n):
         assert rows.shape[:2] == (seeds.size, n)
         for row, seed in zip(rows, seeds):
             assert np.array_equal(row, sample_chunks(n, int(seed), draw))
+
+
+def test_sample_chunks_builds_one_thread_pool_per_call(monkeypatch):
+    built = []
+
+    class CountingPool(rng.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr("ewdist.rng._available_cpus", lambda: 2)
+    seeds = np.arange(8, dtype=np.uint64)
+    rows = sample_chunks(2 * CHUNK_SIZE + 1, seeds, _gamma)  # 8 seeds of 3 chunks
+    assert rows.shape == (8, 2 * CHUNK_SIZE + 1)
+    assert built == [2]
 
 
 def test_array_sample_chunks_of_no_seeds():

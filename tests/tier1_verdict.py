@@ -3,8 +3,9 @@
     python tests/tier1_verdict.py [--json PATH]
 
 Runs `pytest -q --continue-on-collection-errors` on this directory and
-writes {"outcomes": {outcome: [node ids]}, "unexpected": [...], "ok": bool}
-to PATH (default tier1_verdict.json).  Outcomes are passed, failed, error
+writes {"outcomes": {outcome: [node ids]}, "unexpected": [...], "ok": bool,
+"wall_s": seconds} to PATH (default tier1_verdict.json), where wall_s is
+the wall time of the pytest run.  Outcomes are passed, failed, error
 (setup, teardown or collection), skipped, xfailed and xpassed.  Exits 0
 only when the failures are exactly the two by-design ones (c2b and c3),
 nothing errors, and nothing is skipped, xfailed or xpassed, so that a new
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -66,11 +68,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     plugin = Outcomes()
     tests = str(Path(__file__).resolve().parent)
+    start = time.perf_counter()
     pytest.main(["-q", "--continue-on-collection-errors", tests], plugins=[plugin])
+    wall_s = time.perf_counter() - start
     unexpected = verdict(plugin.ids)
     with open(args.json, "w", encoding="utf-8") as fh:
-        json.dump({"outcomes": plugin.ids, "unexpected": unexpected, "ok": not unexpected},
-                  fh, indent=2)
+        json.dump({"outcomes": plugin.ids, "unexpected": unexpected, "ok": not unexpected,
+                   "wall_s": round(wall_s, 3)}, fh, indent=2)
         fh.write("\n")
     for line in unexpected:
         print(f"tier1: {line}", file=sys.stderr)
