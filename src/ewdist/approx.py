@@ -200,10 +200,19 @@ def _log_constant(s: RatioSetting, side: str):
             - ln_beta(0.5 * s.m1, 0.5 * s.nu1) - ln_beta(0.5 * s.m2, 0.5 * s.nu2))
 
 
+def _upper(s: RatioSetting) -> tuple:
+    """(log a1, a1) of the upper envelope; NumericError where a1 overflows a float."""
+    log_a1 = _log_constant(s, "upper")
+    try:
+        return log_a1, math.exp(log_a1)
+    except OverflowError:
+        raise NumericError("constant a1 overflows a float", setting=str(s), log_a1=log_a1) from None
+
+
 def upper_constant(s: RatioSetting) -> float:
     """Closed-form constant scaling the upper envelope product."""
     s.require_bound_regime()
-    return math.exp(_log_constant(s, "upper"))
+    return _upper(s)[1]
 
 
 def lower_constant(s: RatioSetting) -> float:
@@ -393,9 +402,8 @@ def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
     side are listed with their ratios rather than hidden.
     """
     s.require_bound_regime()
-    log_a1 = _log_constant(s, "upper")
+    log_a1, a1 = _upper(s)
     log_a2 = _log_constant(s, "lower")
-    a1 = math.exp(log_a1)
     a2 = math.exp(log_a2)
 
     w_grid = default_w_grid(n_w)

@@ -6,7 +6,9 @@ Commands: simulate-w, compare-cdf, gof-table, omega, elemental,
 certify-bounds.  Exit codes: 0 success, 2 usage or domain error (an input
 file that is not UTF-8 or holds no rows, and a --gnuplot-script that names
 the --out file, included), a size too large to allocate or a killed worker
-process, 3 I/O failure, 4 numeric non-convergence or non-finite W draws.
+process, 3 I/O failure, 4 numeric non-convergence, non-finite W draws or
+an upper envelope constant a1 beyond the float range.  Input files may
+start with a UTF-8 byte-order mark.
 A command writes all its files, the table or report and then any gnuplot
 script, as UTF-8 in one call; if anything fails, every regular, non-symlink
 file it opened is removed.  A config file of key=value lines can pre-set
@@ -239,7 +241,7 @@ def _cmd_compare_cdf(args):
 def _read_grid_file(path):
     rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(list(fh))
     except UnicodeDecodeError as exc:
         raise DomainError(f"grid file {path} is not UTF-8 text: {exc}") from None
@@ -261,9 +263,7 @@ def _read_grid_file(path):
 
 def _cmd_gof_table(args):
     grid = _read_grid_file(args.grid) if args.grid else pipelines.DEFAULT_GOF_GRID
-    rows = pipelines.gof_table_rows(grid, args.n, args.replications, args.seed)
-    names = ("m1", "m2", "nu", "n", "rep", "ks", "ks_identical", "ad", "ad_identical")
-    _emit_table(args, {name: [r[i] for r in rows] for i, name in enumerate(names)})
+    _emit_table(args, *pipelines.gof_table_rows(grid, args.n, args.replications, args.seed))
 
 
 def _cmd_omega(args):
@@ -378,7 +378,7 @@ def build_parser():
 def _load_config_pairs(path):
     pairs = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = list(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None

@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .rng import _seeded_draws, derive_seed
 from .specfun import _validate_count
 
 __all__ = [
-    "ElementalWeight",
     "as_design_matrix",
     "weight_of_set",
     "all_weights",
@@ -43,12 +41,6 @@ __all__ = [
 
 ENUMERATION_CAP = 1_000_000
 _SUBSET_CHUNK = 1 << 15
-
-
-@dataclass(frozen=True)
-class ElementalWeight:
-    indices: tuple  # sorted, 1-based
-    weight: float
 
 
 def as_design_matrix(x) -> np.ndarray:
@@ -86,11 +78,11 @@ def _check_subset(e, l: int) -> tuple:
     return idx
 
 
-def _weights(stack: np.ndarray, log_full: np.ndarray, subsets: np.ndarray) -> list:
+def _weights(stack: np.ndarray, log_full: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Weights of 0-based row subsets of a stack and its log|X'X|, as `_validated` gives them.
 
     `subsets` has shape (n, s, k), or (1, s, k) for the same s subsets of every
-    matrix; weight j * s + i, a float, is that of the pair (matrix j, subsets[j, i]).
+    matrix; weight j * s + i is that of the pair (matrix j, subsets[j, i]).
     """
     n, s = len(stack), subsets.shape[1]
     subsets = np.broadcast_to(subsets, (n,) + subsets.shape[1:])
@@ -101,7 +93,7 @@ def _weights(stack: np.ndarray, log_full: np.ndarray, subsets: np.ndarray) -> li
         sign, log_e = np.linalg.slogdet(np.swapaxes(rows, -1, -2) @ rows)
         out += [math.exp(d) if sg > 0 else 0.0
                 for sg, d in zip(sign.tolist(), (log_e - log_full[mat]).tolist())]
-    return out
+    return np.array(out)
 
 
 def _subsets(l: int, k: int, cap: int) -> np.ndarray:
@@ -122,13 +114,15 @@ def weight_of_set(x, e) -> float:
     idx = _check_subset(e, l)
     if len(idx) < c:
         raise DomainError(f"subset of size {len(idx)} cannot span {c} columns")
-    return _weights(stack, log_full, np.array([[idx]]) - 1)[0]
+    return float(_weights(stack, log_full, np.array([[idx]]) - 1)[0])
 
 
 def all_weights(x, set_size: int | None = None, cap: int = ENUMERATION_CAP):
-    """Weights of every subset of the given size (default: the column count).
+    """(subsets, weights) of every row subset of the given size (default: the column count).
 
-    With the default size the weights sum to 1 by Cauchy-Binet.
+    `subsets` is the (C(l, k), k) array of the 1-based subsets in lexicographic
+    order, `weights` their weights.  With the default size the weights sum to 1
+    by Cauchy-Binet.
     """
     stack, log_full = _validated(_stack_of_one(x))
     l, c = stack.shape[1:]
@@ -136,9 +130,7 @@ def all_weights(x, set_size: int | None = None, cap: int = ENUMERATION_CAP):
     if k < c or k > l:
         raise DomainError(f"set size must lie in [{c}, {l}], got {k}")
     subsets = _subsets(l, k, cap)
-    weights = _weights(stack, log_full, subsets[None])
-    return [ElementalWeight(tuple(i + 1 for i in combo), w)
-            for combo, w in zip(subsets.tolist(), weights)]
+    return subsets + 1, _weights(stack, log_full, subsets[None])
 
 
 def expected_weight_sum(l: int, cols: int, set_size: int) -> float:
@@ -237,12 +229,12 @@ def simulate_weight_distribution(
     each of the two seed levels is keyed for all matrices in one array call.
     Sampled-sets mode raises SizeError past C(l, dim+1) = 2**63 subsets.
     """
-    return _simulate(p, l, n_matrices, seed, mode, intercept, n_matrices)[2]
+    return _simulate(p, l, n_matrices, seed, mode, intercept, n_matrices)[1]
 
 
 def _simulate(p, l, n_matrices, seed, mode, intercept, n_designs):
-    """(stack, log|X'X|, weights): designs 0..n_designs-1 drawn and validated as one
-    stack, and the `simulate_weight_distribution` weights of the first n_matrices."""
+    """(stack, weights): designs 0..n_designs-1 drawn and validated as one stack, and
+    the `simulate_weight_distribution` weights of the first n_matrices."""
     if mode not in ("all", "sampled-sets"):
         raise DomainError(f"mode must be 'all' or 'sampled-sets', got {mode!r}")
     _require_rows(l, p.dim)
@@ -256,7 +248,7 @@ def _simulate(p, l, n_matrices, seed, mode, intercept, n_designs):
                               lambda rng: rng.integers(0, count))
         subsets = _subsets_by_rank(l, k, ranks)[:, None]
     stack, log_full = _validated(simulated_design(p, l, seed, j, intercept))
-    return stack, log_full, np.array(_weights(stack[:n_matrices], log_full[:n_matrices], subsets))
+    return stack, _weights(stack[:n_matrices], log_full[:n_matrices], subsets)
 
 
 def load_design_csv(path) -> np.ndarray:
@@ -264,7 +256,7 @@ def load_design_csv(path) -> np.ndarray:
     try:
         with warnings.catch_warnings():  # numpy warns of a file with no data lines, and returns 0x1
             warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(path, delimiter=",", ndmin=2)
+            return np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
     except UserWarning:
         raise DomainError(f"design matrix CSV {path} holds no rows") from None
     except ValueError as exc:

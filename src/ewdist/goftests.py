@@ -1,16 +1,16 @@
 """Empirical-distribution comparison: ECDF, KS, Anderson-Darling, ECDF L1 distance.
 
 One-sample KS evaluates both one-sided gaps exactly at the jump points.
-The two-sample tests are row-wise kernels: `ks_two_sample_rows` and
-`ad_two_sample_rows` test each row of a (R x n1) array against the same
-row of a (R x n2) array with one sort of the pooled rows, reading both
-ECDFs at the ends of tie groups; `ks_two_sample` and `ad_two_sample` are
-their one-row calls.  `_ks_ad_two_sample_rows` returns both statistics of
-the same rows from one sort.  The two-sample Anderson-Darling statistic is
-the midrank (tie-tolerant) version, standardized as (A2 - mean)/sd so
-agreement gives values near or below zero.  Critical values use
-asymptotic Kolmogorov quantiles for KS and the standardized two-sample
-point for AD, at the fixed alpha grid {0.01, 0.05}.
+The two-sample tests share one row-wise kernel: `two_sample_rows` tests
+each row of a (R x n1) array against the same row of a (R x n2) array
+with one sort of the pooled rows, reading both ECDFs at the ends of tie
+groups, and returns the KS and AD statistics and verdicts as four arrays;
+`ks_two_sample` and `ad_two_sample` are one-row tests on the same
+statistics.  The two-sample Anderson-Darling statistic is the midrank
+(tie-tolerant) version, standardized as (A2 - mean)/sd so agreement gives
+values near or below zero.  Critical values use asymptotic Kolmogorov
+quantiles for KS and the standardized two-sample point for AD, at the
+fixed alpha grid {0.01, 0.05}.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ __all__ = [
     "ecdf_eval",
     "ks_one_sample",
     "ks_two_sample",
-    "ks_two_sample_rows",
     "ad_two_sample",
-    "ad_two_sample_rows",
+    "two_sample_rows",
     "tv_distance",
     "KS_CRITICAL",
     "AD_CRITICAL",
@@ -143,30 +142,27 @@ def _group_counts(counts, ends):
     return np.where(ends, counts - before, 0.0)
 
 
-def _results(stats, crit, n1, n2, alpha) -> list:
-    return [GofResult(s, n1, alpha, crit, s < crit, n2=n2) for s in stats.tolist()]
+def _ks_critical(pooled, alpha) -> float:
+    n1, n2 = pooled[:2]
+    return float(_critical(KS_CRITICAL, alpha) * np.sqrt((n1 + n2) / (n1 * n2)))
 
 
-def _ks_rows(pooled, alpha) -> list:
+def _ks_rows(pooled) -> np.ndarray:
     """Two-sample KS of each pooled row: sup |ECDF_a - ECDF_b| at its tie-group ends."""
-    crit = _critical(KS_CRITICAL, alpha)
     n1, n2, from_a, upto, ends = pooled
     gap = np.abs(from_a / n1 - (upto - from_a) / n2)
-    stats = np.where(ends, gap, 0.0).max(axis=1)
-    return _results(stats, float(crit * np.sqrt((n1 + n2) / (n1 * n2))), n1, n2, alpha)
+    return np.where(ends, gap, 0.0).max(axis=1)
 
 
-def ks_two_sample_rows(a, b, alpha: float = 0.01) -> list:
-    """Two-sample KS of each row of a (R x n1) against the same row of b (R x n2).
-
-    sup |ECDF_a - ECDF_b|, taken at the ends of the pooled row's tie groups.
-    """
-    return _ks_rows(_pooled_rows(a, b), alpha)
+def _one_row_result(stats, crit, pooled, alpha) -> GofResult:
+    stat = float(stats[0])
+    return GofResult(stat, pooled[0], alpha, crit, stat < crit, n2=pooled[1])
 
 
 def ks_two_sample(a, b, alpha: float = 0.01) -> GofResult:
     """sup |ECDF_a - ECDF_b| over the merged sample grid."""
-    return ks_two_sample_rows(_one_row(a), _one_row(b), alpha)[0]
+    pooled = _pooled_rows(_one_row(a), _one_row(b))
+    return _one_row_result(_ks_rows(pooled), _ks_critical(pooled, alpha), pooled, alpha)
 
 
 def _ad_variance(n_samples: int, sizes) -> float:
@@ -189,9 +185,8 @@ def _ad_variance(n_samples: int, sizes) -> float:
     )
 
 
-def _ad_rows(pooled, alpha) -> list:
-    """Standardized midrank two-sample AD of each pooled row."""
-    crit = _critical(AD_CRITICAL, alpha)
+def _ad_rows(pooled) -> np.ndarray:
+    """Standardized midrank two-sample AD of each pooled row; each tie group enters at its end."""
     n1, n2, from_a, upto, ends = pooled
     n_total = n1 + n2
     if n_total < 4:
@@ -207,27 +202,27 @@ def _ad_rows(pooled, alpha) -> list:
         inner = lj / n_total * (n_total * m_mid - ni * b_mid) ** 2 / denom
         a2 = a2 + inner.sum(axis=1) / ni
     a2 *= (n_total - 1.0) / n_total
-    stats = (a2 - 1.0) / np.sqrt(_ad_variance(2, (n1, n2)))
-    return _results(stats, float(crit), n1, n2, alpha)
-
-
-def ad_two_sample_rows(a, b, alpha: float = 0.01) -> list:
-    """Standardized two-sample Anderson-Darling of each row of a (R x n1) against b (R x n2).
-
-    Midrank form: each tie group of the pooled row enters once, at its end.
-    """
-    return _ad_rows(_pooled_rows(a, b), alpha)
-
-
-def _ks_ad_two_sample_rows(a, b, alpha: float = 0.01) -> tuple:
-    """(ks_two_sample_rows(a, b, alpha), ad_two_sample_rows(a, b, alpha)) from one sort."""
-    pooled = _pooled_rows(a, b)
-    return _ks_rows(pooled, alpha), _ad_rows(pooled, alpha)
+    return (a2 - 1.0) / np.sqrt(_ad_variance(2, (n1, n2)))
 
 
 def ad_two_sample(a, b, alpha: float = 0.01) -> GofResult:
     """Standardized two-sample Anderson-Darling statistic (midrank form)."""
-    return ad_two_sample_rows(_one_row(a), _one_row(b), alpha)[0]
+    pooled = _pooled_rows(_one_row(a), _one_row(b))
+    crit = _critical(AD_CRITICAL, alpha)  # alpha before the pool's size
+    return _one_row_result(_ad_rows(pooled), crit, pooled, alpha)
+
+
+def two_sample_rows(a, b, alpha: float = 0.01) -> tuple:
+    """(ks, ks_identical, ad, ad_identical) of each row of a (R x n1) against b (R x n2).
+
+    Four length-R arrays from one sort of the pooled rows: the statistics of
+    `ks_two_sample` and `ad_two_sample`, and whether each lies below its
+    critical value at alpha.
+    """
+    pooled = _pooled_rows(a, b)
+    ks_crit, ad_crit = _ks_critical(pooled, alpha), _critical(AD_CRITICAL, alpha)
+    ks, ad = _ks_rows(pooled), _ad_rows(pooled)
+    return ks, ks < ks_crit, ad, ad < ad_crit
 
 
 def tv_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:

@@ -2,21 +2,21 @@
 
 Pure functions: they take parameters and a seed and return tables ready
 for serialization, as an ordered {header: 1-D array or list} mapping of
-columns plus a summary dict (`gof_table_rows` returns row tuples).  All
-replication loops derive child seeds by index, so each row depends only on
-its seed and parameters.  `gof_table_rows` derives every seed of the table
-in a few array calls, draws each grid row's replications into two
-(replications x n) arrays, sorts the pooled rows once and reads both the
-KS and the AD statistic from that sort.  A table of at least `_FORK_DRAWS`
-W draws runs its grid rows in forked worker processes (`rng._fork_map`):
-the seeds are all derived before any worker starts and each grid row is a
-function of its own seeds, so the rows, joined in grid order, never depend
-on the worker count.
+columns plus a summary dict.  All replication loops derive child seeds by
+index, so each row depends only on its seed and parameters.
+`gof_table_rows` derives every seed of the table in a few array calls,
+draws each grid row's replications into two (replications x n) arrays,
+sorts the pooled rows once and reads both the KS and the AD columns from
+that sort.  A table of at least `_FORK_DRAWS` W draws runs its grid rows
+in forked worker processes (`rng._fork_map`): the seeds are all derived
+before any worker starts and each grid row is a function of its own
+seeds, so no column depends on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -65,6 +65,9 @@ DEFAULT_GOF_GRID = (
 # with more CPUs (more workers) the break-even may lie elsewhere.
 _FORK_DRAWS = 90_000
 
+# the columns of the gof-table, one row per grid row per replication
+_GOF_COLUMNS = ("m1", "m2", "nu", "n", "rep", "ks", "ks_identical", "ad", "ad_identical")
+
 # the eight CDF-comparison panels at nu = 50; (2, 1) appears twice as printed
 FIGURE_PAIRS = ((1, 1), (2, 1), (2, 1), (3, 2), (11, 5), (12, 5), (11, 10), (12, 10))
 
@@ -100,29 +103,27 @@ def compare_cdf_rows(m1, m2, nu, n, grid_points, seed):
 
 
 def _gof_grid_row(item) -> list:
-    """The table rows of one grid row: draw its replications, then test them.
+    """The `_GOF_COLUMNS` of one grid row: draw its replications, then test them.
 
     `item` is ((m1, m2, nu), n, w_seeds, ref_seeds), one seed per replication.
     """
     (m1, m2, nu), n, w_seeds, ref_seeds = item
     w = w_sample(m1, m2, nu, n, w_seeds)
     ref = beta_sample(approx.approx_shape(m2), n, ref_seeds)
-    ks, ad = goftests._ks_ad_two_sample_rows(w, ref, 0.01)
-    return [(m1, m2, nu, n, rep, k.statistic, k.identical, a.statistic, a.identical)
-            for rep, (k, a) in enumerate(zip(ks, ad))]
+    return [*(np.full(len(w), v) for v in (m1, m2, nu, n)), np.arange(len(w)),
+            *goftests.two_sample_rows(w, ref, 0.01)]
 
 
 def gof_table_rows(grid, n, replications, seed):
-    """One row per grid entry per replication, two-sample mode.
+    """Columns `_GOF_COLUMNS`, one row per grid entry per replication, two-sample mode.
 
-    Row: (m1, m2, nu, n, rep, ks, ks_identical, ad, ad_identical).
     Replication rep of grid row i draws W from derive_seed(s, 0) and the
     Beta sample from derive_seed(s, 1), s = derive_seed(derive_seed(seed, i), rep).
     The seeds of the whole table are derived by array calls, each grid row's
     replications drawn as two (replications x n) arrays and tested in one KS
-    and one AD pass at alpha = 0.01.  A table of at least `_FORK_DRAWS` W
-    draws runs its grid rows in forked worker processes; every row is a
-    function of its own seeds, and the rows are joined in grid order.
+    and AD pass at alpha = 0.01.  A table of at least `_FORK_DRAWS` W draws
+    runs its grid rows in forked worker processes; every row is a function
+    of its own seeds, and the columns are joined in grid order.
     """
     grid = [tuple(map(float, row)) for row in grid]
     for m1, m2, nu in grid:
@@ -130,16 +131,16 @@ def gof_table_rows(grid, n, replications, seed):
     replications = _validate_count("replications", replications, least=0)
     n = _validate_count("sample size", n)
     if replications == 0:
-        return []
+        return {name: [] for name in _GOF_COLUMNS}, {}
 
     rep_seeds = derive_seed(derive_seed(seed, np.arange(len(grid)))[:, None],
                             np.arange(replications))
     w_seeds, ref_seeds = derive_seed(rep_seeds, 0), derive_seed(rep_seeds, 1)
     items = [(row, n, w, ref) for row, w, ref in zip(grid, w_seeds, ref_seeds)]
-    if len(grid) * replications * n < _FORK_DRAWS:
-        return [row for item in items for row in _gof_grid_row(item)]
-    with rng._fork_map(_gof_grid_row, items) as parts:
-        return [row for part in parts for row in part]
+    serial = len(grid) * replications * n < _FORK_DRAWS
+    with (nullcontext(map(_gof_grid_row, items)) if serial
+          else rng._fork_map(_gof_grid_row, items)) as parts:
+        return dict(zip(_GOF_COLUMNS, map(np.concatenate, zip(*parts)))), {}
 
 
 def omega_rows(rho, n2, n, grid_points, seed):
@@ -169,11 +170,9 @@ def omega_rows(rho, n2, n, grid_points, seed):
 
 def elemental_matrix_rows(matrix):
     """Columns set_indices, weight of a provided design matrix plus the weight sum."""
-    stack, log_full = elemental._validated(elemental._stack_of_one(matrix))
-    l, c = stack.shape[1:]
-    subsets = elemental._subsets(l, c, elemental.ENUMERATION_CAP)
-    weights = elemental._weights(stack, log_full, subsets[None])
-    rows = "\n".join([" ".join(["%d"] * c)] * len(subsets)) % tuple((subsets + 1).ravel().tolist())
+    subsets, weights = elemental.all_weights(matrix)
+    rows = "\n".join([" ".join(["%d"] * subsets.shape[1])] * len(subsets)) % tuple(
+        subsets.ravel().tolist())
     columns = {"set_indices": rows.split("\n"), "weight": weights}
     return columns, {"cauchy_binet_sum": float(sum(weights)), "cauchy_binet_expected": 1.0}
 
@@ -190,7 +189,7 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
     if 8 * l * rho >= 2**63:  # as l > rho, this also bounds the rho x rho scale matrix
         raise SizeError(f"an l x rho = {l} x {rho} float64 design exceeds 2**63 bytes")
     params = MvtParams(dim=rho, dof=float(nu), scale=np.eye(rho))
-    stack, log_full, weights = elemental._simulate(
+    stack, weights = elemental._simulate(
         params, l, n_matrices, seed, mode, intercept, max(n_matrices, 1)
     )
 
@@ -198,8 +197,7 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
     # None past the enumeration cap
     k, cb_sum = rho + 1, None
     if math.comb(l, k) <= elemental.ENUMERATION_CAP:
-        subsets = elemental._subsets(l, k, elemental.ENUMERATION_CAP)[None]
-        cb_sum = float(sum(elemental._weights(stack[:1], log_full[:1], subsets)))
+        cb_sum = float(sum(elemental.all_weights(stack[0], set_size=k)[1]))
 
     summary = {
         "cauchy_binet_sum_first_matrix": cb_sum,

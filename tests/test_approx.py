@@ -127,6 +127,20 @@ def test_u_tail_cutoff_unbounded_quantile_is_numeric_error():
         u_tail_cutoff(RatioSetting(3, 2, 50, 3.1), 1e-12)
 
 
+def test_upper_constant_past_the_float_range_is_numeric_error():
+    # math.exp(log a1) overflows: log a1 = 797.3 here and 737.4 at tv_bound's setting
+    s = RatioSetting(300, 2, 1000, 1000)
+    for call in (upper_constant, certify_bounds):
+        with pytest.raises(NumericError) as info:
+            call(s)
+        assert info.value.diagnostics["setting"] == str(s)
+        assert info.value.diagnostics["log_a1"] == pytest.approx(797.343, abs=1e-3)
+    with pytest.raises(NumericError) as info:
+        tv_bound(1600, 2000, 10)
+    assert info.value.diagnostics["log_a1"] == pytest.approx(737.440, abs=1e-3)
+    assert math.isfinite(lower_constant(s))
+
+
 def test_joint_density_matches_jacobian_product(rng):
     # h(u, w) = f1(uw) f2(u(1-w)) u is the defining change of variables
     s = RatioSetting(3, 2, 50, 50)

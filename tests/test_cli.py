@@ -151,19 +151,35 @@ def test_gof_table_grid_file_and_malformed_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, name, text", [
-    (["gof-table", "--grid"], "grid file", b"m1,m2,nu\n3,2,\xff50\n"),
-    (["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--config"], "config",
-     b"grid-points=\xff\xfe\n"),
-], ids=["grid", "config"])
-def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv, name, text):
+@pytest.mark.parametrize("argv, prefix, text", [
+    (["gof-table", "--grid"], "ew: grid file {} is not UTF-8 text: ", b"m1,m2,nu\n3,2,\xff50\n"),
+    (["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--config"],
+     "ew: config {} is not UTF-8 text: ", b"grid-points=\xff\xfe\n"),
+    (["elemental", "--matrix"], "ew: could not parse design matrix CSV {}: ", b"1,2\n3,\xff4\n"),
+], ids=["grid", "config", "matrix"])
+def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv, prefix, text):
     path, out = tmp_path / "input", tmp_path / "out.csv"
     path.write_bytes(text)
     assert run_cli([*argv, path, "--out", out]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"ew: {name} {path} is not UTF-8 text: ")
+    assert len(err) == 1 and err[0].startswith(prefix.format(path))
     assert "can't decode byte 0xff" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 100, "--config"], "grid-points=7\n"),
+    (["gof-table", "--n", 30, "--grid"], "m1,m2,nu\n3,2,50\n"),
+    (["elemental", "--matrix"], "1,2\n3,4\n5,7\n"),
+], ids=["config", "grid", "matrix"])
+def test_input_file_with_a_byte_order_mark_reads_as_without(tmp_path, argv, text):
+    outs = []
+    for bom in (b"", "\ufeff".encode()):
+        path, out = tmp_path / f"input{len(bom)}", tmp_path / f"out{len(bom)}.csv"
+        path.write_bytes(bom + text.encode())
+        assert run_cli([*argv, path, "--out", out]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("args, message", [
@@ -500,7 +516,7 @@ def ref_json_bytes(argv, command, header, rows, summary):
 def from_columns(header):
     def rows_of(result):
         columns, summary = result
-        return [tuple(r) for r in zip(*(columns[h] for h in header))], summary
+        return [tuple(r) for r in zip(*(np.asarray(columns[h]).tolist() for h in header))], summary
     return rows_of
 
 
@@ -531,11 +547,11 @@ TABLE_CASES = {
     ),
     "gof-table": (
         ["gof-table", "--n", 60, "--seed", 9],
-        (pipelines, "gof_table_rows"), GOF_HEADER, lambda rows: (rows, None), None,
+        (pipelines, "gof_table_rows"), GOF_HEADER, None, None,
     ),
     "gof-table-empty": (
         ["gof-table", "--replications", 0, "--seed", 9],
-        (pipelines, "gof_table_rows"), GOF_HEADER, lambda rows: (rows, None), None,
+        (pipelines, "gof_table_rows"), GOF_HEADER, None, None,
     ),
     "elemental-matrix": (
         ["elemental", "--matrix", "{matrix}"],
@@ -920,6 +936,16 @@ def test_simulate_w_near_float_max_writes_finite_weights(tmp_path, capsys, flags
     assert capsys.readouterr().err == ""
     w = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
     assert w.size == 100 and np.isfinite(w).all() and ((w >= 0.0) & (w <= 1.0)).all()
+
+
+def test_certify_bounds_past_the_float_range_exits_4_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    argv = ["certify-bounds", "--m1", 300, "--m2", 2, "--nu1", 1000, "--nu2", 1000, "--out", out]
+    assert run_cli(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "ew: numeric failure: constant a1 overflows a float"
+    assert err[1].startswith("ew:   log_a1=797.343") and err[2].startswith("ew:   setting=")
+    assert not out.exists()
 
 
 def test_simulate_w_refuses_non_finite_draws(tmp_path, capsys):

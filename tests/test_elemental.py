@@ -51,16 +51,17 @@ def test_weight_against_cofactor_oracle(rng):
 def test_all_weights_cauchy_binet(rng):
     for _ in range(3):
         x = random_full_rank(rng, 5, 2)
-        ws = all_weights(x)
-        assert len(ws) == 10
-        assert sum(w.weight for w in ws) == pytest.approx(1.0, abs=1e-10)
-        assert all(0.0 <= w.weight <= 1.0 for w in ws)
+        subsets, weights = all_weights(x)
+        assert subsets.shape == (10, 2) and weights.shape == (10,)
+        assert subsets.tolist() == [list(e) for e in combinations(range(1, 6), 2)]
+        assert sum(weights) == pytest.approx(1.0, abs=1e-10)
+        assert all(0.0 <= w <= 1.0 for w in weights)
 
 
 def test_all_weights_duplicate_row_symmetry(rng):
     x = random_full_rank(rng, 5, 2)
     x[3] = x[1]  # rows 2 and 4 identical (1-based)
-    by_set = {w.indices: w.weight for w in all_weights(x)}
+    by_set = {tuple(e): w for e, w in zip(*(a.tolist() for a in all_weights(x)))}
     for s, wt in by_set.items():
         swapped = tuple(sorted(4 if i == 2 else 2 if i == 4 else i for i in s))
         assert by_set[swapped] == pytest.approx(wt, rel=1e-12, abs=0.0)
@@ -69,8 +70,8 @@ def test_all_weights_duplicate_row_symmetry(rng):
 def test_all_weights_larger_set_size_sum(rng):
     # sum over k-subsets equals C(l - c, k - c)
     x = random_full_rank(rng, 6, 2)
-    ws = all_weights(x, set_size=3)
-    assert sum(w.weight for w in ws) == pytest.approx(
+    _, weights = all_weights(x, set_size=3)
+    assert sum(weights) == pytest.approx(
         expected_weight_sum(6, 2, 3), abs=1e-9
     )
 
@@ -115,23 +116,24 @@ def _duplicate_row_matrix(rng):
 )
 def test_weights_equal_per_subset_reference_bitwise(rng, make, set_size):
     x = make(rng)
-    ws = all_weights(x, set_size=set_size)
+    subsets, weights = all_weights(x, set_size=set_size)
+    ws = list(zip(map(tuple, subsets.tolist()), weights.tolist()))
     assert len(ws) == math.comb(x.shape[0], set_size or x.shape[1])
-    for ew in ws:
-        assert ew.weight == reference_weight(x, ew.indices)
-    for ew in ws[:: max(1, len(ws) // 50)]:
-        assert weight_of_set(x, ew.indices) == ew.weight
+    for indices, weight in ws:
+        assert weight == reference_weight(x, indices)
+    for indices, weight in ws[:: max(1, len(ws) // 50)]:
+        assert weight_of_set(x, indices) == weight
     if make is _duplicate_row_matrix:
-        assert any(ew.weight == 0.0 for ew in ws if {2, 4} <= set(ew.indices))
+        assert any(weight == 0.0 for indices, weight in ws if {2, 4} <= set(indices))
 
 
 def test_simulate_all_mode_first_matrix_equals_all_weights():
     p = MvtParams(2, 50.0, np.eye(2))
     for intercept in (False, True):
         w = simulate_weight_distribution(p, 7, 3, 23, mode="all", intercept=intercept)
-        first = all_weights(simulated_design(p, 7, 23, 0, intercept), set_size=3)
+        _, first = all_weights(simulated_design(p, 7, 23, 0, intercept), set_size=3)
         assert w.size == 3 * len(first)
-        assert list(w[: len(first)]) == [ew.weight for ew in first]
+        assert list(w[: len(first)]) == list(first)
 
 
 def test_simulate_sampled_mode_uses_the_simulated_designs():
@@ -139,7 +141,7 @@ def test_simulate_sampled_mode_uses_the_simulated_designs():
     w = simulate_weight_distribution(p, 9, 6, 31)
     for j, wj in enumerate(w):
         x = simulated_design(p, 9, 31, j)
-        assert wj in {ew.weight for ew in all_weights(x, set_size=3)}
+        assert wj in set(all_weights(x, set_size=3)[1].tolist())
 
 
 def test_simulated_design_stream_layout():
@@ -182,7 +184,7 @@ def _reference_simulation(p, l, n_matrices, seed, mode, intercept):
         if intercept:
             x = np.column_stack([np.ones(l), x])
         if mode == "all":
-            out += [ew.weight for ew in all_weights(x, set_size=k)]
+            out += all_weights(x, set_size=k)[1].tolist()
         else:
             rank = int(stream([child(seed, 2 * j + 1)]).integers(0, math.comb(l, k)))
             out.append(weight_of_set(x, subset_by_rank(l, k, rank)))
@@ -272,18 +274,18 @@ def test_chain_zero_row_contributes_unit_ratio(rng):
 def test_column_scaling_invariance(rng):
     x = random_full_rank(rng, 6, 3)
     d = np.diag([2.0, -0.5, 7.0])
-    ws1 = all_weights(x)
-    ws2 = all_weights(x @ d)
-    for w1, w2 in zip(ws1, ws2):
-        assert w1.indices == w2.indices
-        assert w2.weight == pytest.approx(w1.weight, rel=1e-10, abs=0.0)
+    subsets1, ws1 = all_weights(x)
+    subsets2, ws2 = all_weights(x @ d)
+    assert np.array_equal(subsets1, subsets2)
+    for w1, w2 in zip(ws1, ws2, strict=True):
+        assert w2 == pytest.approx(w1, rel=1e-10, abs=0.0)
 
 
 def test_row_permutation_equivariance(rng):
     x = random_full_rank(rng, 5, 2)
     perm = np.array([3, 0, 4, 1, 2])
-    ws = sorted(w.weight for w in all_weights(x))
-    ws_p = sorted(w.weight for w in all_weights(x[perm]))
+    ws = sorted(all_weights(x)[1])
+    ws_p = sorted(all_weights(x[perm])[1])
     assert np.allclose(ws, ws_p, rtol=1e-10, atol=0.0)
 
 
@@ -351,8 +353,8 @@ def test_simulate_intercept_weights_sum_to_one():
     # with an intercept the subset size equals the column count
     p = MvtParams(2, 50.0, np.eye(2))
     x = simulated_design(p, 6, 19, 0, intercept=True)
-    ws = all_weights(x, set_size=3)
-    assert sum(w.weight for w in ws) == pytest.approx(1.0, abs=1e-10)
+    _, weights = all_weights(x, set_size=3)
+    assert sum(weights) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_design_matrix_validation(rng, tmp_path):

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 from scipy.stats import anderson_ksamp, ks_2samp
 
-from ewdist import goftests
 from ewdist.errors import DomainError
 from ewdist.goftests import (
     AD_CRITICAL,
     KS_CRITICAL,
     EmpiricalCdf,
     ad_two_sample,
-    ad_two_sample_rows,
     ecdf,
     ecdf_eval,
     ks_one_sample,
     ks_two_sample,
-    ks_two_sample_rows,
     tv_distance,
+    two_sample_rows,
 )
 
 
@@ -164,53 +162,67 @@ def test_batched_rows_equal_one_row_calls(rng, ties):
     a, b = rng.normal(size=(12, 40)), rng.normal(loc=0.2, size=(12, 31))
     if ties:
         a, b = _tied_rows(rng, 12, 40, 31)
-    for batched, scalar in ((ks_two_sample_rows, ks_two_sample),
-                            (ad_two_sample_rows, ad_two_sample)):
-        rows = batched(a, b, alpha=0.05)
-        assert len(rows) == 12
-        for r, res in enumerate(rows):
-            assert res == scalar(a[r], b[r], alpha=0.05)  # bitwise: dataclass ==
-    assert goftests._ks_ad_two_sample_rows(a, b, 0.05) == (
-        ks_two_sample_rows(a, b, 0.05), ad_two_sample_rows(a, b, 0.05))
+    ks, ks_identical, ad, ad_identical = two_sample_rows(a, b, alpha=0.05)
+    for stats, flags, scalar in ((ks, ks_identical, ks_two_sample),
+                                 (ad, ad_identical, ad_two_sample)):
+        assert stats.shape == flags.shape == (12,) and flags.dtype == bool
+        for r in range(12):
+            res = scalar(a[r], b[r], alpha=0.05)
+            assert (stats[r], flags[r]) == (res.statistic, res.identical)  # bitwise
+            assert res.n == 40 and res.n2 == 31 and res.alpha == 0.05
+
+
+def test_ks_two_sample_needs_no_ad_sized_pool():
+    assert ks_two_sample([1.0], [2.0]).statistic == 1.0
+    with pytest.raises(DomainError, match="at least 4"):
+        two_sample_rows([[1.0]], [[2.0]])
+
+
+def test_rows_are_checked_before_alpha_and_alpha_before_the_pool():
+    with pytest.raises(DomainError, match="non-finite"):
+        two_sample_rows([[np.nan, 1.0]], [[2.0, 3.0]], alpha=0.1)
+    for call in (two_sample_rows, ad_two_sample):
+        with pytest.raises(DomainError, match="alpha must be one of"):
+            call([[1.0]], [[2.0]], alpha=0.1)
+    with pytest.raises(DomainError, match="alpha must be one of"):
+        ks_two_sample([1.0], [2.0], alpha=0.1)
 
 
 def test_batched_rows_with_ties_match_scipy(rng):
     a, b = _tied_rows(rng, 25, 57, 83)
     lcm = np.lcm(57, 83)
-    ks = ks_two_sample_rows(a, b)
-    ad = ad_two_sample_rows(a, b)
+    ks, _, ad, _ = two_sample_rows(a, b)
     for r in range(25):
         ref = ks_2samp(a[r], b[r]).statistic
         # scipy reports h / lcm(n1, n2), this code |c1/n1 - c2/n2|: the same
         # lattice point h, whose two roundings differ by at most a few ulp of 1
-        assert np.rint(ks[r].statistic * lcm) == np.rint(ref * lcm)
-        assert ks[r].statistic == pytest.approx(ref, rel=0.0, abs=1e-15)
+        assert np.rint(ks[r] * lcm) == np.rint(ref * lcm)
+        assert ks[r] == pytest.approx(ref, rel=0.0, abs=1e-15)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ref = anderson_ksamp([a[r], b[r]]).statistic
-        assert ad[r].statistic == pytest.approx(ref, rel=0.0, abs=1e-10)
+        assert ad[r] == pytest.approx(ref, rel=0.0, abs=1e-10)
 
 
 def test_batched_rows_reject_bad_rows(rng):
     a, b = rng.normal(size=(4, 10)), rng.normal(size=(4, 12))
     a[2, 5] = np.nan
-    for batched in (ks_two_sample_rows, ad_two_sample_rows):
-        with pytest.raises(DomainError, match=r"a contains non-finite values \(row 2\)"):
-            batched(a, b)
-        b_inf = b.copy()
-        b_inf[3, 0] = np.inf
-        with pytest.raises(DomainError, match=r"b contains non-finite values \(row 3\)"):
-            batched(b[:, :10], b_inf)
-        with pytest.raises(DomainError):
-            batched(b, b[:3])  # row counts differ
-        with pytest.raises(DomainError):
-            batched(np.empty((4, 0)), b)  # empty rows
-        with pytest.raises(DomainError):
-            batched(b[0], b)  # not a 2-D array of rows
+    with pytest.raises(DomainError, match=r"a contains non-finite values \(row 2\)"):
+        two_sample_rows(a, b)
+    b_inf = b.copy()
+    b_inf[3, 0] = np.inf
+    with pytest.raises(DomainError, match=r"b contains non-finite values \(row 3\)"):
+        two_sample_rows(b[:, :10], b_inf)
+    with pytest.raises(DomainError):
+        two_sample_rows(b, b[:3])  # row counts differ
+    with pytest.raises(DomainError):
+        two_sample_rows(np.empty((4, 0)), b)  # empty rows
+    with pytest.raises(DomainError):
+        two_sample_rows(b[0], b)  # not a 2-D array of rows
     tied = np.ones((3, 4))
     tied[1] = np.arange(4.0)
     with pytest.raises(DomainError, match="distinct"):
-        ad_two_sample_rows(tied, tied)  # rows 0 and 2 have one distinct value
+        two_sample_rows(tied, tied)  # rows 0 and 2 have one distinct value
 
 
 def test_alpha_grid_is_fixed():

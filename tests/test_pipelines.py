@@ -35,15 +35,20 @@ def test_default_gof_grid_has_30_rows():
         assert m2 <= m1 < nu
 
 
+GOF_COLUMNS = ["m1", "m2", "nu", "n", "rep", "ks", "ks_identical", "ad", "ad_identical"]
+
+
 def test_gof_table_rows_shape_and_determinism():
     grid = [(3, 2, 50), (11, 10, 50)]
-    rows = pipelines.gof_table_rows(grid, n=100, replications=3, seed=5)
-    assert len(rows) == 6
-    assert rows == pipelines.gof_table_rows(grid, n=100, replications=3, seed=5)
-    for m1, m2, nu, n, rep, ks, ks_id, ad, ad_id in rows:
-        assert n == 100 and 0 <= rep < 3
-        assert 0.0 <= ks <= 1.0
-        assert isinstance(ks_id, bool) and isinstance(ad_id, bool)
+    columns, summary = pipelines.gof_table_rows(grid, n=100, replications=3, seed=5)
+    assert list(columns) == GOF_COLUMNS and summary == {}
+    assert {len(col) for col in columns.values()} == {6}
+    again, _ = pipelines.gof_table_rows(grid, n=100, replications=3, seed=5)
+    for name, col in columns.items():
+        assert col.dtype == again[name].dtype and np.array_equal(col, again[name])
+    assert (columns["n"] == 100).all() and list(columns["rep"]) == [0, 1, 2] * 2
+    assert ((0.0 <= columns["ks"]) & (columns["ks"] <= 1.0)).all()
+    assert columns["ks_identical"].dtype == columns["ad_identical"].dtype == bool
 
 
 def _reference_ks(a, b):
@@ -93,15 +98,18 @@ def _reference_gof_rows(grid, n, replications, seed, alpha=0.01):
 @pytest.mark.parametrize("seed", [12345, 7, 2**64 - 1])
 def test_gof_table_rows_match_per_replication_reference(n, seed):
     grid = [(3, 2, 50), (20, 5, 150), (40, 25, 50)]
-    rows = pipelines.gof_table_rows(grid, n=n, replications=15, seed=seed)
+    columns, _ = pipelines.gof_table_rows(grid, n=n, replications=15, seed=seed)
     expected = _reference_gof_rows(grid, n, 15, seed)
-    typed = lambda table: [tuple((type(v), v) for v in row) for row in table]
-    assert typed(rows) == typed(expected)
+    assert list(columns) == GOF_COLUMNS
+    for (name, col), want in zip(columns.items(), zip(*expected), strict=True):
+        want = np.array(want)  # float, int and bool cells as float64, int64 and bool
+        assert col.dtype == want.dtype and np.array_equal(col, want), name
 
 
 def test_gof_table_rows_replication_count():
     grid = [(3, 2, 50)]
-    assert pipelines.gof_table_rows(grid, n=50, replications=0, seed=1) == []
+    columns, summary = pipelines.gof_table_rows(grid, n=50, replications=0, seed=1)
+    assert columns == {name: [] for name in GOF_COLUMNS} and summary == {}
     with pytest.raises(DomainError, match="positive integer"):
         pipelines.gof_table_rows(grid, n=-5, replications=0, seed=1)
     with pytest.raises(DomainError, match="nonnegative"):
@@ -178,7 +186,7 @@ def test_elemental_simulation_report_draws_each_design_once(monkeypatch, mode, n
     assert len(draws) == 1
     assert np.array_equal(draws[0], derive_seed(9, 2 * np.arange(max(n_matrices, 1))))
     first = elemental.simulated_design(MvtParams(2, 50.0, np.eye(2)), 7, 9, 0)
-    expected = float(sum(ew.weight for ew in elemental.all_weights(first, set_size=3)))
+    expected = float(sum(elemental.all_weights(first, set_size=3)[1]))
     assert summary["cauchy_binet_sum_first_matrix"] == expected
     assert summary["n_weights"] == n_matrices * (35 if mode == "all" else 1)
 

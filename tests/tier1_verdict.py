@@ -4,13 +4,14 @@
 
 Runs `pytest -q --continue-on-collection-errors` on this directory and
 writes {"outcomes": {outcome: [node ids]}, "unexpected": [...], "ok": bool,
-"wall_s": seconds} to PATH (default tier1_verdict.json), where wall_s is
-the wall time of the pytest run.  Outcomes are passed, failed, error
-(setup, teardown or collection), skipped, xfailed and xpassed.  Exits 0
-only when the failures are exactly the two by-design ones (c2b and c3),
-nothing errors, and nothing is skipped, xfailed or xpassed, so that a new
-failure cannot hide behind them.  Not collected: the name has no `test_`
-prefix.
+"wall_s": seconds, "src_lines": count} to PATH (default tier1_verdict.json),
+where wall_s is the wall time of the pytest run and src_lines the line
+count of src/ewdist/*.py, as `wc -l` counts them.  Outcomes are passed,
+failed, error (setup, teardown or collection), skipped, xfailed and
+xpassed.  Exits 0 only when the failures are exactly the two by-design
+ones (c2b and c3), nothing errors, and nothing is skipped, xfailed or
+xpassed, so that a new failure cannot hide behind them.  Not collected:
+the name has no `test_` prefix.
 """
 
 from __future__ import annotations
@@ -67,14 +68,15 @@ def main(argv=None) -> int:
     parser.add_argument("--json", default="tier1_verdict.json", help="verdict file to write")
     args = parser.parse_args(argv)
     plugin = Outcomes()
-    tests = str(Path(__file__).resolve().parent)
+    tests = Path(__file__).resolve().parent
     start = time.perf_counter()
-    pytest.main(["-q", "--continue-on-collection-errors", tests], plugins=[plugin])
+    pytest.main(["-q", "--continue-on-collection-errors", str(tests)], plugins=[plugin])
     wall_s = time.perf_counter() - start
+    src_lines = sum(p.read_bytes().count(b"\n") for p in (tests.parent / "src/ewdist").glob("*.py"))
     unexpected = verdict(plugin.ids)
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump({"outcomes": plugin.ids, "unexpected": unexpected, "ok": not unexpected,
-                   "wall_s": round(wall_s, 3)}, fh, indent=2)
+                   "wall_s": round(wall_s, 3), "src_lines": src_lines}, fh, indent=2)
         fh.write("\n")
     for line in unexpected:
         print(f"tier1: {line}", file=sys.stderr)
