@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .rng import derive_seed, sample_chunks
-from .specfun import _validate_open_unit, _validate_positive, ln_beta, reg_inc_beta
+from .specfun import _validate_count, _validate_open_unit, _validate_positive, ln_beta, reg_inc_beta
 
 __all__ = [
     "FParams",
@@ -59,29 +59,19 @@ class BetaShape:
 
 @dataclass(frozen=True)
 class MvtParams:
-    """Multivariate-t parameters: dimension, dof and an SPD scale matrix."""
+    """Multivariate-t parameters: dimension and dof.
+
+    The rows have the identity scale: an elemental weight |X_E'X_E| / |X'X|
+    is the same for X and X A with A invertible, so no scale matrix can
+    change a weight.
+    """
 
     dim: int
     dof: float
-    scale: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ConfigError(f"dim must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _validate_count("dim", self.dim))
         object.__setattr__(self, "dof", _positive("dof", self.dof))
-        scale = np.asarray(self.scale, dtype=float)
-        if scale.shape != (self.dim, self.dim):
-            raise ConfigError(f"scale must be {self.dim}x{self.dim}, got shape {scale.shape}")
-        if not np.allclose(scale, scale.T, rtol=1e-10, atol=1e-12):
-            raise ConfigError("scale matrix must be symmetric")
-        object.__setattr__(self, "scale", scale)
-
-    def cholesky(self) -> np.ndarray:
-        try:
-            return np.linalg.cholesky(self.scale)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigError("scale matrix is not positive definite") from exc
 
 
 def f_pdf(y, p: FParams):
@@ -156,16 +146,15 @@ def w_sample(m1: float, m2: float, nu: float, n: int, seed) -> np.ndarray:
 
 
 def mvt_sample_rows(p: MvtParams, n_rows: int, seed) -> np.ndarray:
-    """n_rows independent draws from the dim-variate t(dof, scale) law.
+    """n_rows independent draws from the standard dim-variate t(dof) law.
 
-    Each row is a correlated Gaussian row divided by sqrt(chi2_dof/dof).
+    Each row is a standard Gaussian row divided by sqrt(chi2_dof/dof).
     """
-    chol = p.cholesky()
 
     def draw(rng, count):
         z = rng.standard_normal((count, p.dim))
         chi2 = rng.chisquare(p.dof, count)
-        return (z @ chol.T) / np.sqrt(chi2 / p.dof)[:, None]
+        return z / np.sqrt(chi2 / p.dof)[:, None]
 
     out = sample_chunks(n_rows, seed, draw)
     return out.reshape(*np.shape(seed), n_rows, p.dim)

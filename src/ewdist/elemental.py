@@ -96,12 +96,13 @@ def _weights(stack: np.ndarray, log_full: np.ndarray, subsets: np.ndarray) -> np
     return np.array(out)
 
 
-def _subsets(l: int, k: int, cap: int) -> np.ndarray:
-    """(C(l, k), k) array of the 0-based k-subsets of range(l), lexicographic, at most `cap`."""
+def _subsets(l: int, k: int) -> np.ndarray:
+    """(C(l, k), k) array of the 0-based k-subsets of range(l), lexicographic;
+    SizeError past `ENUMERATION_CAP` of them."""
     count = math.comb(l, k)
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise SizeError(
-            f"C({l},{k}) = {count} subsets exceeds the cap {cap}; "
+            f"C({l},{k}) = {count} subsets exceeds the cap {ENUMERATION_CAP}; "
             "use sampled-sets mode instead"
         )
     return _subsets_by_rank(l, k, np.arange(count))
@@ -117,7 +118,7 @@ def weight_of_set(x, e) -> float:
     return float(_weights(stack, log_full, np.array([[idx]]) - 1)[0])
 
 
-def all_weights(x, set_size: int | None = None, cap: int = ENUMERATION_CAP):
+def all_weights(x, set_size: int | None = None):
     """(subsets, weights) of every row subset of the given size (default: the column count).
 
     `subsets` is the (C(l, k), k) array of the 1-based subsets in lexicographic
@@ -129,7 +130,7 @@ def all_weights(x, set_size: int | None = None, cap: int = ENUMERATION_CAP):
     k = c if set_size is None else int(set_size)
     if k < c or k > l:
         raise DomainError(f"set size must lie in [{c}, {l}], got {k}")
-    subsets = _subsets(l, k, cap)
+    subsets = _subsets(l, k)
     return subsets + 1, _weights(stack, log_full, subsets[None])
 
 
@@ -192,12 +193,6 @@ def _subsets_by_rank(l: int, k: int, ranks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_rows(l: int, dim: int):
-    """An elemental set of a dim-variate design has dim + 1 of its l rows."""
-    if l < dim + 1:
-        raise DomainError(f"need l >= dim+1 rows, got l={l}, dim={dim}")
-
-
 def simulated_design(p: MvtParams, l: int, seed: int, index, intercept: bool = False):
     """Design matrix `index` of `simulate_weight_distribution`, not yet validated.
 
@@ -221,13 +216,15 @@ def simulate_weight_distribution(
 ) -> np.ndarray:
     """Elemental weights of simulated t-distributed design matrices.
 
-    Each matrix has l rows of dim-variate t draws (plus an optional
+    Each matrix has l rows of standard dim-variate t draws (plus an optional
     constant column); elemental sets have dim+1 rows.  Mode "all" emits
     every subset's weight per matrix, "sampled-sets" one uniformly chosen
     subset per matrix.  Matrix j is `simulated_design(p, l, seed, j)` and
     draws its subset from Philox(SeedSequence([derive_seed(seed, 2j + 1)]));
     each of the two seed levels is keyed for all matrices in one array call.
-    Sampled-sets mode raises SizeError past C(l, dim+1) = 2**63 subsets.
+    Raises DomainError unless l is a count of at least dim+1 rows, and SizeError
+    for an l x dim design of 2**63 bytes or more, or in sampled-sets mode past
+    C(l, dim+1) = 2**63 subsets; all before any rank or design is drawn.
     """
     return _simulate(p, l, n_matrices, seed, mode, intercept, n_matrices)[1]
 
@@ -237,11 +234,15 @@ def _simulate(p, l, n_matrices, seed, mode, intercept, n_designs):
     the `simulate_weight_distribution` weights of the first n_matrices."""
     if mode not in ("all", "sampled-sets"):
         raise DomainError(f"mode must be 'all' or 'sampled-sets', got {mode!r}")
-    _require_rows(l, p.dim)
+    l = _validate_count("l", l)
+    if l < p.dim + 1:  # an elemental set has dim + 1 of the l rows
+        raise DomainError(f"need l >= dim+1 rows, got l={l}, dim={p.dim}")
+    if 8 * l * p.dim >= 2**63:
+        raise SizeError(f"an l x rho = {l} x {p.dim} float64 design exceeds 2**63 bytes")
     n_matrices = _validate_count("n_matrices", n_matrices, least=0)
     k, j = p.dim + 1, np.arange(int(n_designs), dtype=np.uint64)
     if mode == "all":
-        subsets = _subsets(l, k, ENUMERATION_CAP)[None]
+        subsets = _subsets(l, k)[None]
     else:
         count = _rank_count(l, k)
         ranks = _seeded_draws(derive_seed(seed, 2 * j[:n_matrices] + 1),
@@ -259,5 +260,7 @@ def load_design_csv(path) -> np.ndarray:
             return np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
     except UserWarning:
         raise DomainError(f"design matrix CSV {path} holds no rows") from None
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"design matrix CSV {path} is not UTF-8 text: {exc}") from None
     except ValueError as exc:
         raise DomainError(f"could not parse design matrix CSV {path}: {exc}") from exc

@@ -26,7 +26,7 @@ class SizeError(EwdistError, ValueError):
 
 
 class ConfigError(EwdistError, ValueError):
-    """Invalid configuration input (e.g. a non-SPD scale matrix)."""
+    """Invalid configuration input (e.g. a config-file line that is not key=value)."""
 
 
 class NumericError(EwdistError, ArithmeticError):

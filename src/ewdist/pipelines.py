@@ -22,7 +22,7 @@ import numpy as np
 
 from . import approx, elemental, goftests, product, rng
 from .dist import MvtParams, beta_cdf, beta_sample, w_sample
-from .errors import RegimeError, SizeError
+from .errors import RegimeError
 from .rng import derive_seed
 from .specfun import _validate_count
 
@@ -181,16 +181,14 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
                                 intercept=False):
     """Columns draw_index, weight of simulated t-model weights, plus product-law KS.
 
-    The product-law comparison is reported for both factor-count
+    The rows are standard rho-variate t(nu) draws: no scale matrix changes a
+    weight.  The product-law comparison is reported for both factor-count
     conventions (l - rho and l - rho - 1); neither is asserted.
     """
-    rho, l = _validate_count("rho", rho), int(l)
-    elemental._require_rows(l, rho)
-    if 8 * l * rho >= 2**63:  # as l > rho, this also bounds the rho x rho scale matrix
-        raise SizeError(f"an l x rho = {l} x {rho} float64 design exceeds 2**63 bytes")
-    params = MvtParams(dim=rho, dof=float(nu), scale=np.eye(rho))
+    rho = _validate_count("rho", rho)
     stack, weights = elemental._simulate(
-        params, l, n_matrices, seed, mode, intercept, max(n_matrices, 1)
+        MvtParams(dim=rho, dof=float(nu)), l, n_matrices, seed, mode, intercept,
+        max(n_matrices, 1)
     )
 
     # weight-sum check on matrix 0, drawn even when no weights are asked for;

@@ -155,7 +155,7 @@ def test_gof_table_grid_file_and_malformed_line(tmp_path, capsys):
     (["gof-table", "--grid"], "ew: grid file {} is not UTF-8 text: ", b"m1,m2,nu\n3,2,\xff50\n"),
     (["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--config"],
      "ew: config {} is not UTF-8 text: ", b"grid-points=\xff\xfe\n"),
-    (["elemental", "--matrix"], "ew: could not parse design matrix CSV {}: ", b"1,2\n3,\xff4\n"),
+    (["elemental", "--matrix"], "ew: design matrix CSV {} is not UTF-8 text: ", b"1,2\n3,\xff4\n"),
 ], ids=["grid", "config", "matrix"])
 def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv, prefix, text):
     path, out = tmp_path / "input", tmp_path / "out.csv"

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ewdist import elemental
+from ewdist import elemental, pipelines
 from ewdist.dist import MvtParams
 from ewdist.elemental import (
     all_weights,
@@ -77,9 +77,9 @@ def test_all_weights_larger_set_size_sum(rng):
 
 
 def test_all_weights_cap():
-    x = np.eye(40)[:, :10] + 0.01
+    x = np.eye(40)[:, :10] + 0.01  # C(40, 10) > ENUMERATION_CAP
     with pytest.raises(SizeError):
-        all_weights(x, cap=1000)
+        all_weights(x)
 
 
 def reference_weight(x, subset):
@@ -128,7 +128,7 @@ def test_weights_equal_per_subset_reference_bitwise(rng, make, set_size):
 
 
 def test_simulate_all_mode_first_matrix_equals_all_weights():
-    p = MvtParams(2, 50.0, np.eye(2))
+    p = MvtParams(2, 50.0)
     for intercept in (False, True):
         w = simulate_weight_distribution(p, 7, 3, 23, mode="all", intercept=intercept)
         _, first = all_weights(simulated_design(p, 7, 23, 0, intercept), set_size=3)
@@ -137,7 +137,7 @@ def test_simulate_all_mode_first_matrix_equals_all_weights():
 
 
 def test_simulate_sampled_mode_uses_the_simulated_designs():
-    p = MvtParams(2, 5.0, np.eye(2))
+    p = MvtParams(2, 5.0)
     w = simulate_weight_distribution(p, 9, 6, 31)
     for j, wj in enumerate(w):
         x = simulated_design(p, 9, 31, j)
@@ -149,7 +149,7 @@ def test_simulated_design_stream_layout():
     from ewdist.dist import mvt_sample_rows
     from ewdist.rng import derive_seed
 
-    p = MvtParams(2, 5.0, np.eye(2))
+    p = MvtParams(2, 5.0)
     for j in (0, 3):
         rows = mvt_sample_rows(p, 8, derive_seed(41, 2 * j))
         assert np.array_equal(simulated_design(p, 8, 41, j), rows)
@@ -176,11 +176,11 @@ def _reference_simulation(p, l, n_matrices, seed, mode, intercept):
     def stream(entropy):
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
-    chol, k, out = np.linalg.cholesky(p.scale), p.dim + 1, []
+    k, out = p.dim + 1, []
     for j in range(n_matrices):
         rows = stream([child(seed, 2 * j), _CHUNK_TAG, 0])
         z = rows.standard_normal((l, p.dim))
-        x = (z @ chol.T) / np.sqrt(rows.chisquare(p.dof, l) / p.dof)[:, None]
+        x = z / np.sqrt(rows.chisquare(p.dof, l) / p.dof)[:, None]
         if intercept:
             x = np.column_stack([np.ones(l), x])
         if mode == "all":
@@ -194,7 +194,7 @@ def _reference_simulation(p, l, n_matrices, seed, mode, intercept):
 @pytest.mark.parametrize("intercept", [False, True])
 @pytest.mark.parametrize("mode", ["sampled-sets", "all"])
 def test_simulate_matches_per_matrix_reference(mode, intercept):
-    p = MvtParams(2, 7.0, np.array([[1.0, 0.3], [0.3, 2.0]]))
+    p = MvtParams(2, 7.0)
     for seed in (0, 41, 2**64 - 1):
         got = simulate_weight_distribution(p, 7, 25, seed, mode=mode, intercept=intercept)
         assert np.array_equal(got, _reference_simulation(p, 7, 25, seed, mode, intercept))
@@ -206,14 +206,25 @@ def test_simulate_sampled_rank_past_int64_raises_before_drawing(monkeypatch):
     assert count > 2**63
     drawn = []
     monkeypatch.setattr(elemental, "simulated_design", lambda *args: drawn.append(args))
-    p = MvtParams(2, 50.0, np.eye(2))
+    p = MvtParams(2, 50.0)
     with pytest.raises(SizeError, match=str(count)):
         simulate_weight_distribution(p, 4_000_000, 1, 0)
     assert not drawn
 
 
+@pytest.mark.parametrize("call", [
+    lambda: MvtParams(True, 5.0),
+    lambda: MvtParams(2.0, 5.0),
+    lambda: simulate_weight_distribution(MvtParams(2, 50.0), 7.9, 3, 0),
+    lambda: pipelines.elemental_simulation_report(2, 50, 7.9, 3, 0),
+], ids=["dim-bool", "dim-float", "simulate-l-float", "report-l-float"])
+def test_simulation_counts_that_are_not_integers_raise(call):
+    with pytest.raises(DomainError, match="must be a positive integer"):
+        call()
+
+
 def test_simulate_all_mode_over_cap_raises():
-    p = MvtParams(2, 50.0, np.eye(2))
+    p = MvtParams(2, 50.0)
     with pytest.raises(SizeError):
         simulate_weight_distribution(p, 200, 1, 0, mode="all")
 
@@ -272,13 +283,16 @@ def test_chain_zero_row_contributes_unit_ratio(rng):
 
 
 def test_column_scaling_invariance(rng):
+    # X A for any invertible A: both determinants of a weight gain det(A)**2,
+    # so no scale matrix of the t rows can change a weight
     x = random_full_rank(rng, 6, 3)
-    d = np.diag([2.0, -0.5, 7.0])
     subsets1, ws1 = all_weights(x)
-    subsets2, ws2 = all_weights(x @ d)
-    assert np.array_equal(subsets1, subsets2)
-    for w1, w2 in zip(ws1, ws2, strict=True):
-        assert w2 == pytest.approx(w1, rel=1e-10, abs=0.0)
+    lower = np.array([[1.5, 0.0, 0.0], [0.8, 0.6, 0.0], [-1.2, 0.4, 2.0]])
+    for a in (np.diag([2.0, -0.5, 7.0]), lower):
+        subsets2, ws2 = all_weights(x @ a)
+        assert np.array_equal(subsets1, subsets2)
+        for w1, w2 in zip(ws1, ws2, strict=True):
+            assert w2 == pytest.approx(w1, rel=1e-10, abs=0.0)
 
 
 def test_row_permutation_equivariance(rng):
@@ -330,7 +344,7 @@ def test_array_ranks_at_large_l_and_near_2_63():
 
 
 def test_simulate_outputs_in_unit_interval():
-    p = MvtParams(2, 50.0, np.eye(2))
+    p = MvtParams(2, 50.0)
     w = simulate_weight_distribution(p, 7, 40, 11)
     assert w.shape == (40,)
     assert np.all((w >= 0.0) & (w <= 1.0))
@@ -338,20 +352,20 @@ def test_simulate_outputs_in_unit_interval():
 
 
 def test_simulate_minimal_rows_gives_unit_weights():
-    p = MvtParams(2, 50.0, np.eye(2))
+    p = MvtParams(2, 50.0)
     w = simulate_weight_distribution(p, 3, 10, 5)
     assert np.allclose(w, 1.0, atol=1e-12)
 
 
 def test_simulate_all_mode_counts():
-    p = MvtParams(2, 50.0, np.eye(2))
+    p = MvtParams(2, 50.0)
     w = simulate_weight_distribution(p, 5, 4, 3, mode="all")
     assert w.size == 4 * math.comb(5, 3)
 
 
 def test_simulate_intercept_weights_sum_to_one():
     # with an intercept the subset size equals the column count
-    p = MvtParams(2, 50.0, np.eye(2))
+    p = MvtParams(2, 50.0)
     x = simulated_design(p, 6, 19, 0, intercept=True)
     _, weights = all_weights(x, set_size=3)
     assert sum(weights) == pytest.approx(1.0, abs=1e-10)

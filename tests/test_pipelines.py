@@ -185,7 +185,7 @@ def test_elemental_simulation_report_draws_each_design_once(monkeypatch, mode, n
     # one draw of designs 0..max(n_matrices, 1) - 1; matrix 0 carries the weight-sum check
     assert len(draws) == 1
     assert np.array_equal(draws[0], derive_seed(9, 2 * np.arange(max(n_matrices, 1))))
-    first = elemental.simulated_design(MvtParams(2, 50.0, np.eye(2)), 7, 9, 0)
+    first = elemental.simulated_design(MvtParams(2, 50.0), 7, 9, 0)
     expected = float(sum(elemental.all_weights(first, set_size=3)[1]))
     assert summary["cauchy_binet_sum_first_matrix"] == expected
     assert summary["n_weights"] == n_matrices * (35 if mode == "all" else 1)

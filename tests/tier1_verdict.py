@@ -4,9 +4,10 @@
 
 Runs `pytest -q --continue-on-collection-errors` on this directory and
 writes {"outcomes": {outcome: [node ids]}, "unexpected": [...], "ok": bool,
-"wall_s": seconds, "src_lines": count} to PATH (default tier1_verdict.json),
-where wall_s is the wall time of the pytest run and src_lines the line
-count of src/ewdist/*.py, as `wc -l` counts them.  Outcomes are passed,
+"wall_s": seconds, "src_lines": count, "src_lines_by_module": {path: count}}
+to PATH (default tier1_verdict.json), where wall_s is the wall time of the
+pytest run, src_lines_by_module the line count of each src/ewdist/*.py, as
+`wc -l` counts them, and src_lines their sum.  Outcomes are passed,
 failed, error (setup, teardown or collection), skipped, xfailed and
 xpassed.  Exits 0 only when the failures are exactly the two by-design
 ones (c2b and c3), nothing errors, and nothing is skipped, xfailed or
@@ -72,11 +73,13 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     pytest.main(["-q", "--continue-on-collection-errors", str(tests)], plugins=[plugin])
     wall_s = time.perf_counter() - start
-    src_lines = sum(p.read_bytes().count(b"\n") for p in (tests.parent / "src/ewdist").glob("*.py"))
+    by_module = {p.relative_to(tests.parent).as_posix(): p.read_bytes().count(b"\n")
+                 for p in sorted((tests.parent / "src/ewdist").glob("*.py"))}
     unexpected = verdict(plugin.ids)
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump({"outcomes": plugin.ids, "unexpected": unexpected, "ok": not unexpected,
-                   "wall_s": round(wall_s, 3), "src_lines": src_lines}, fh, indent=2)
+                   "wall_s": round(wall_s, 3), "src_lines": sum(by_module.values()),
+                   "src_lines_by_module": by_module}, fh, indent=2)
         fh.write("\n")
     for line in unexpected:
         print(f"tier1: {line}", file=sys.stderr)
