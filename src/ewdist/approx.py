@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import betainccinv, expit
 
 from .dist import BetaShape, _log_beta_pdf, _log_beta_prime, _positive
-from .errors import DomainError, NumericError, RegimeError
+from .errors import NumericError, RegimeError
 from .specfun import _validate_count, _validate_open_unit, _validate_positive, ln_beta
 
 __all__ = [
@@ -61,9 +61,10 @@ _END_NEWTON_STEPS = 6
 _MAX_NODES = 2**14      # t nodes per column
 _MAX_LOGIT = 512.0      # half-width of the logit range of the joint mass
 
-# `certify_bounds` tolerance and report length
+# `certify_bounds` tolerance, report length and u grid end
 _SLACK = 1e-9           # relative tolerance before a ratio counts as a violation
 _MAX_VIOLATIONS = 20    # violating grid points listed per side
+_U_TAIL = 1e-10         # upper u-envelope mass beyond the u grid (`u_tail_cutoff`)
 
 # canonical settings exercised by the certificate suite
 CERTIFICATE_SETTINGS = (
@@ -221,19 +222,16 @@ def lower_constant(s: RatioSetting) -> float:
     return math.exp(_log_constant(s, "lower"))
 
 
-def u_tail_cutoff(s: RatioSetting, tail: float = 1e-12) -> float:
-    """u beyond which the upper u-envelope holds exactly `tail` mass.
+def u_tail_cutoff(s: RatioSetting) -> float:
+    """u beyond which the upper u-envelope holds exactly 1e-10 of its mass.
 
     Under the upper u-envelope, y = x/(1+x) with x = m2*u/nu2 is
     Beta(t1, t2), so the cutoff is the closed-form upper quantile of y.
     """
     a, b, t1, t2, _ = _u_law(s, "upper")
-    tail = float(tail)
-    if not 0.0 < tail < 1.0:
-        raise DomainError(f"tail must lie strictly inside (0, 1), got {tail!r}")
-    y = float(betainccinv(t1, t2, tail))
+    y = float(betainccinv(t1, t2, _U_TAIL))
     if not y < 1.0:
-        raise NumericError("u tail cutoff is not finite", setting=str(s), tail=tail)
+        raise NumericError("u tail cutoff is not finite", setting=str(s), tail=_U_TAIL)
     return b / a * y / (1.0 - y)
 
 
@@ -407,7 +405,7 @@ def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
     a2 = math.exp(log_a2)
 
     w_grid = default_w_grid(n_w)
-    u_hi = u_tail_cutoff(s, 1e-10)
+    u_hi = u_tail_cutoff(s)
     u_grid = np.logspace(-4.0, math.log10(u_hi), n_u)
     uu, ww = np.meshgrid(u_grid, w_grid, indexing="ij")
 

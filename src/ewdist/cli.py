@@ -6,8 +6,8 @@ Commands: simulate-w, compare-cdf, gof-table, omega, elemental,
 certify-bounds.  Exit codes: 0 success, 2 usage or domain error (an input
 file that is not UTF-8 or holds no rows, and a --gnuplot-script that names
 the --out file, included), a size too large to allocate or a killed worker
-process, 3 I/O failure, 4 numeric non-convergence, non-finite W draws or
-an upper envelope constant a1 beyond the float range.  Input files may
+process, 3 I/O failure, 4 numeric non-convergence, non-finite W or t draws
+or an upper envelope constant a1 beyond the float range.  Input files may
 start with a UTF-8 byte-order mark.
 A command writes all its files, the table or report and then any gnuplot
 script, as UTF-8 in one call; if anything fails, every regular, non-symlink

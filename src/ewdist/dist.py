@@ -59,7 +59,7 @@ class BetaShape:
 
 @dataclass(frozen=True)
 class MvtParams:
-    """Multivariate-t parameters: dimension and dof.
+    """Multivariate-t parameters: dimension (the paper's rho) and dof.
 
     The rows have the identity scale: an elemental weight |X_E'X_E| / |X'X|
     is the same for X and X A with A invertible, so no scale matrix can
@@ -70,7 +70,7 @@ class MvtParams:
     dof: float
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _validate_count("dim", self.dim))
+        object.__setattr__(self, "dim", _validate_count("rho", self.dim))
         object.__setattr__(self, "dof", _positive("dof", self.dof))
 
 
@@ -148,13 +148,20 @@ def w_sample(m1: float, m2: float, nu: float, n: int, seed) -> np.ndarray:
 def mvt_sample_rows(p: MvtParams, n_rows: int, seed) -> np.ndarray:
     """n_rows independent draws from the standard dim-variate t(dof) law.
 
-    Each row is a standard Gaussian row divided by sqrt(chi2_dof/dof).
+    Each row is a standard Gaussian row divided by sqrt(chi2_dof/dof);
+    NumericError if a row is not finite (a tiny dof can make chi2 0).
     """
 
     def draw(rng, count):
         z = rng.standard_normal((count, p.dim))
         chi2 = rng.chisquare(p.dof, count)
-        return z / np.sqrt(chi2 / p.dof)[:, None]
+        # per thread; chunks run in a pool
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return z / np.sqrt(chi2 / p.dof)[:, None]
 
     out = sample_chunks(n_rows, seed, draw)
+    bad = int(np.count_nonzero(~np.isfinite(out).all(axis=-1)))
+    if bad:
+        raise NumericError(f"{bad} of {out.size // p.dim} t draws are not finite",
+                           nonfinite=bad, nu=p.dof, rho=p.dim, l=n_rows)
     return out.reshape(*np.shape(seed), n_rows, p.dim)

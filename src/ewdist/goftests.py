@@ -10,7 +10,7 @@ statistics.  The two-sample Anderson-Darling statistic is the midrank
 (tie-tolerant) version, standardized as (A2 - mean)/sd so agreement gives
 values near or below zero.  Critical values use asymptotic Kolmogorov
 quantiles for KS and the standardized two-sample point for AD, at the
-fixed alpha grid {0.01, 0.05}.
+one level alpha = 0.01.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ __all__ = [
     "AD_CRITICAL",
 ]
 
-# asymptotic Kolmogorov quantiles c(alpha): P(sup|B(t)| > c) = alpha
-KS_CRITICAL = {0.01: 1.628, 0.05: 1.358}
-# standardized two-sample Anderson-Darling critical points: Scholz & Stephens
-# (1987), "K-sample Anderson-Darling tests", JASA 82, 918-924, interpolation
+# asymptotic Kolmogorov quantile c at alpha = 0.01: P(sup|B(t)| > c) = alpha
+KS_CRITICAL = 1.628
+# standardized two-sample Anderson-Darling critical point at alpha = 0.01: Scholz &
+# Stephens (1987), "K-sample Anderson-Darling tests", JASA 82, 918-924, interpolation
 # b0 + b1/sqrt(m) + b2/m at m = k - 1 = 1 (as scipy.stats.anderson_ksamp reports)
-AD_CRITICAL = {0.01: 3.752, 0.05: 1.961}
+AD_CRITICAL = 3.752
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class EmpiricalCdf:
 class GofResult:
     statistic: float
     n: int
-    alpha: float
     critical_value: float
     identical: bool
     n2: int | None = None
@@ -81,12 +80,6 @@ def _clean_sample(sample, name="sample") -> np.ndarray:
     return _clean_rows(_one_row(sample), name)[0]
 
 
-def _critical(table: dict, alpha: float) -> float:
-    if alpha not in table:
-        raise DomainError(f"alpha must be one of {sorted(table)}, got {alpha}")
-    return table[alpha]
-
-
 def ecdf(sample) -> EmpiricalCdf:
     arr = np.sort(_clean_sample(sample))
     return EmpiricalCdf(arr)
@@ -98,7 +91,7 @@ def ecdf_eval(e: EmpiricalCdf, x):
     return float(out) if out.ndim == 0 else out
 
 
-def ks_one_sample(sample, cdf, alpha: float = 0.01) -> GofResult:
+def ks_one_sample(sample, cdf) -> GofResult:
     """sup |ECDF - cdf|, evaluated exactly at the sample's jump points."""
     x = np.sort(_clean_sample(sample))
     n = x.size
@@ -107,8 +100,8 @@ def ks_one_sample(sample, cdf, alpha: float = 0.01) -> GofResult:
     d_plus = float((i / n - f).max())
     d_minus = float((f - (i - 1) / n).max())
     stat = max(d_plus, d_minus)
-    crit = _critical(KS_CRITICAL, alpha) / np.sqrt(n)
-    return GofResult(stat, n, alpha, float(crit), bool(stat < crit))
+    crit = KS_CRITICAL / np.sqrt(n)
+    return GofResult(stat, n, float(crit), bool(stat < crit))
 
 
 def _pooled_rows(a, b):
@@ -142,9 +135,9 @@ def _group_counts(counts, ends):
     return np.where(ends, counts - before, 0.0)
 
 
-def _ks_critical(pooled, alpha) -> float:
+def _ks_critical(pooled) -> float:
     n1, n2 = pooled[:2]
-    return float(_critical(KS_CRITICAL, alpha) * np.sqrt((n1 + n2) / (n1 * n2)))
+    return float(KS_CRITICAL * np.sqrt((n1 + n2) / (n1 * n2)))
 
 
 def _ks_rows(pooled) -> np.ndarray:
@@ -154,15 +147,15 @@ def _ks_rows(pooled) -> np.ndarray:
     return np.where(ends, gap, 0.0).max(axis=1)
 
 
-def _one_row_result(stats, crit, pooled, alpha) -> GofResult:
+def _one_row_result(stats, crit, pooled) -> GofResult:
     stat = float(stats[0])
-    return GofResult(stat, pooled[0], alpha, crit, stat < crit, n2=pooled[1])
+    return GofResult(stat, pooled[0], crit, stat < crit, n2=pooled[1])
 
 
-def ks_two_sample(a, b, alpha: float = 0.01) -> GofResult:
+def ks_two_sample(a, b) -> GofResult:
     """sup |ECDF_a - ECDF_b| over the merged sample grid."""
     pooled = _pooled_rows(_one_row(a), _one_row(b))
-    return _one_row_result(_ks_rows(pooled), _ks_critical(pooled, alpha), pooled, alpha)
+    return _one_row_result(_ks_rows(pooled), _ks_critical(pooled), pooled)
 
 
 def _ad_variance(n_samples: int, sizes) -> float:
@@ -205,24 +198,22 @@ def _ad_rows(pooled) -> np.ndarray:
     return (a2 - 1.0) / np.sqrt(_ad_variance(2, (n1, n2)))
 
 
-def ad_two_sample(a, b, alpha: float = 0.01) -> GofResult:
+def ad_two_sample(a, b) -> GofResult:
     """Standardized two-sample Anderson-Darling statistic (midrank form)."""
     pooled = _pooled_rows(_one_row(a), _one_row(b))
-    crit = _critical(AD_CRITICAL, alpha)  # alpha before the pool's size
-    return _one_row_result(_ad_rows(pooled), crit, pooled, alpha)
+    return _one_row_result(_ad_rows(pooled), AD_CRITICAL, pooled)
 
 
-def two_sample_rows(a, b, alpha: float = 0.01) -> tuple:
+def two_sample_rows(a, b) -> tuple:
     """(ks, ks_identical, ad, ad_identical) of each row of a (R x n1) against b (R x n2).
 
     Four length-R arrays from one sort of the pooled rows: the statistics of
     `ks_two_sample` and `ad_two_sample`, and whether each lies below its
-    critical value at alpha.
+    critical value.
     """
     pooled = _pooled_rows(a, b)
-    ks_crit, ad_crit = _ks_critical(pooled, alpha), _critical(AD_CRITICAL, alpha)
     ks, ad = _ks_rows(pooled), _ad_rows(pooled)
-    return ks, ks < ks_crit, ad, ad < ad_crit
+    return ks, ks < _ks_critical(pooled), ad, ad < AD_CRITICAL
 
 
 def tv_distance(a: EmpiricalCdf, b: EmpiricalCdf) -> float:

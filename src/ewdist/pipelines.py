@@ -111,7 +111,7 @@ def _gof_grid_row(item) -> list:
     w = w_sample(m1, m2, nu, n, w_seeds)
     ref = beta_sample(approx.approx_shape(m2), n, ref_seeds)
     return [*(np.full(len(w), v) for v in (m1, m2, nu, n)), np.arange(len(w)),
-            *goftests.two_sample_rows(w, ref, 0.01)]
+            *goftests.two_sample_rows(w, ref)]
 
 
 def gof_table_rows(grid, n, replications, seed):
@@ -185,11 +185,10 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
     weight.  The product-law comparison is reported for both factor-count
     conventions (l - rho and l - rho - 1); neither is asserted.
     """
-    rho = _validate_count("rho", rho)
-    stack, weights = elemental._simulate(
-        MvtParams(dim=rho, dof=float(nu)), l, n_matrices, seed, mode, intercept,
-        max(n_matrices, 1)
-    )
+    p = MvtParams(dim=rho, dof=float(nu))
+    rho = p.dim
+    stack, weights = elemental._simulate(p, l, n_matrices, seed, mode, intercept,
+                                         max(n_matrices, 1))
 
     # weight-sum check on matrix 0, drawn even when no weights are asked for;
     # None past the enumeration cap

@@ -963,6 +963,33 @@ def test_simulate_w_refuses_non_finite_draws(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("mode", ["sampled-sets", "all"])
+@pytest.mark.parametrize("nu, bad", [("0.01", 1), ("1e-300", 35)])
+def test_elemental_refuses_non_finite_t_draws(tmp_path, capsys, mode, nu, bad):
+    # a tiny nu makes chi2 draws 0, and the t rows inf
+    out = tmp_path / "gen.csv"
+    argv = ["elemental", "--generate", "--rho", 2, "--nu", nu, "--l", 7, "--n-matrices", 5,
+            "--mode", mode, "--seed", 1, "--out", out]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == 4
+    assert caught == []
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"ew: numeric failure: {bad} of 35 t draws are not finite",
+        "ew:   l=7", f"ew:   nonfinite={bad}", f"ew:   nu={float(nu)}", "ew:   rho=2",
+    ]
+
+
+def test_elemental_matrix_with_inf_exits_2(tmp_path, capsys):
+    mat = tmp_path / "inf.csv"
+    mat.write_text("1.0,2.0\ninf,4.0\n3.0,7.0\n")
+    out = tmp_path / "o.csv"
+    assert run_cli(["elemental", "--matrix", mat, "--out", out]) == 2
+    assert capsys.readouterr().err == "ew: design matrix contains non-finite entries\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_csv_write_failing_at_close_removes_the_file_but_not_a_symlink(tmp_path, monkeypatch,
                                                                          capsys, fmt):

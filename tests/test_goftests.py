@@ -58,6 +58,7 @@ def test_ks_one_sample_quantile_placed_sample():
 
 def test_ks_one_sample_critical_value_and_flag():
     res = ks_one_sample(np.linspace(0.01, 0.99, 200), lambda x: np.asarray(x))
+    assert KS_CRITICAL == 1.628  # the Kolmogorov quantile at alpha = 0.01
     assert res.critical_value == pytest.approx(1.628 / np.sqrt(200))
     assert res.identical == (res.statistic < res.critical_value)
 
@@ -123,7 +124,7 @@ def test_ad_critical_value_and_flag(rng):
     a = rng.normal(size=200)
     b = rng.normal(size=200)
     res = ad_two_sample(a, b)
-    assert res.critical_value == AD_CRITICAL[0.01]
+    assert res.critical_value == AD_CRITICAL == 3.752
     assert res.identical == (res.statistic < res.critical_value)
 
 
@@ -132,8 +133,7 @@ def test_ad_critical_values_match_scipy(rng):
         warnings.simplefilter("ignore")
         res = anderson_ksamp([rng.normal(size=80), rng.normal(size=90)])
     # scipy's levels are (0.25, 0.1, 0.05, 0.025, 0.01, 0.005, 0.001)
-    assert AD_CRITICAL[0.05] == pytest.approx(res.critical_values[2], abs=1e-12)
-    assert AD_CRITICAL[0.01] == pytest.approx(res.critical_values[4], abs=1e-12)
+    assert AD_CRITICAL == pytest.approx(res.critical_values[4], abs=1e-12)
 
 
 def test_ad_rejects_degenerate_pool():
@@ -162,30 +162,20 @@ def test_batched_rows_equal_one_row_calls(rng, ties):
     a, b = rng.normal(size=(12, 40)), rng.normal(loc=0.2, size=(12, 31))
     if ties:
         a, b = _tied_rows(rng, 12, 40, 31)
-    ks, ks_identical, ad, ad_identical = two_sample_rows(a, b, alpha=0.05)
+    ks, ks_identical, ad, ad_identical = two_sample_rows(a, b)
     for stats, flags, scalar in ((ks, ks_identical, ks_two_sample),
                                  (ad, ad_identical, ad_two_sample)):
         assert stats.shape == flags.shape == (12,) and flags.dtype == bool
         for r in range(12):
-            res = scalar(a[r], b[r], alpha=0.05)
+            res = scalar(a[r], b[r])
             assert (stats[r], flags[r]) == (res.statistic, res.identical)  # bitwise
-            assert res.n == 40 and res.n2 == 31 and res.alpha == 0.05
+            assert res.n == 40 and res.n2 == 31
 
 
 def test_ks_two_sample_needs_no_ad_sized_pool():
     assert ks_two_sample([1.0], [2.0]).statistic == 1.0
     with pytest.raises(DomainError, match="at least 4"):
         two_sample_rows([[1.0]], [[2.0]])
-
-
-def test_rows_are_checked_before_alpha_and_alpha_before_the_pool():
-    with pytest.raises(DomainError, match="non-finite"):
-        two_sample_rows([[np.nan, 1.0]], [[2.0, 3.0]], alpha=0.1)
-    for call in (two_sample_rows, ad_two_sample):
-        with pytest.raises(DomainError, match="alpha must be one of"):
-            call([[1.0]], [[2.0]], alpha=0.1)
-    with pytest.raises(DomainError, match="alpha must be one of"):
-        ks_two_sample([1.0], [2.0], alpha=0.1)
 
 
 def test_batched_rows_with_ties_match_scipy(rng):
@@ -223,13 +213,6 @@ def test_batched_rows_reject_bad_rows(rng):
     tied[1] = np.arange(4.0)
     with pytest.raises(DomainError, match="distinct"):
         two_sample_rows(tied, tied)  # rows 0 and 2 have one distinct value
-
-
-def test_alpha_grid_is_fixed():
-    with pytest.raises(DomainError):
-        ks_one_sample([0.5], lambda x: np.asarray(x), alpha=0.10)
-    assert set(KS_CRITICAL) == {0.01, 0.05}
-    assert set(AD_CRITICAL) == {0.01, 0.05}
 
 
 def test_tv_identical_and_point_masses():

@@ -80,7 +80,7 @@ def _reference_ad(a, b):
     return float((a2 - 1.0) / np.sqrt(_ad_variance(2, (n1, n2))))
 
 
-def _reference_gof_rows(grid, n, replications, seed, alpha=0.01):
+def _reference_gof_rows(grid, n, replications, seed):
     rows = []
     for row_idx, (m1, m2, nu) in enumerate(grid):
         for rep in range(replications):
@@ -88,9 +88,9 @@ def _reference_gof_rows(grid, n, replications, seed, alpha=0.01):
             w = w_sample(m1, m2, nu, n, derive_seed(rep_seed, 0))
             ref = beta_sample(approx.approx_shape(m2), n, derive_seed(rep_seed, 1))
             ks, ad = _reference_ks(w, ref), _reference_ad(w, ref)
-            ks_crit = float(KS_CRITICAL[alpha] * np.sqrt((n + n) / (n * n)))
+            ks_crit = float(KS_CRITICAL * np.sqrt((n + n) / (n * n)))
             rows.append((float(m1), float(m2), float(nu), n, rep,
-                         ks, ks < ks_crit, ad, ad < AD_CRITICAL[alpha]))
+                         ks, ks < ks_crit, ad, ad < AD_CRITICAL))
     return rows
 
 

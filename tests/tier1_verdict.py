@@ -4,10 +4,12 @@
 
 Runs `pytest -q --continue-on-collection-errors` on this directory and
 writes {"outcomes": {outcome: [node ids]}, "unexpected": [...], "ok": bool,
-"wall_s": seconds, "src_lines": count, "src_lines_by_module": {path: count}}
-to PATH (default tier1_verdict.json), where wall_s is the wall time of the
-pytest run, src_lines_by_module the line count of each src/ewdist/*.py, as
-`wc -l` counts them, and src_lines their sum.  Outcomes are passed,
+"wall_s": seconds, "slowest": [[node id, seconds]], "src_lines": count,
+"src_lines_by_module": {path: count}} to PATH (default tier1_verdict.json),
+where wall_s is the wall time of the pytest run, slowest the ten slowest
+test calls by the duration of their call phase, src_lines_by_module the
+line count of each src/ewdist/*.py, as `wc -l` counts them, and src_lines
+their sum.  Outcomes are passed,
 failed, error (setup, teardown or collection), skipped, xfailed and
 xpassed.  Exits 0 only when the failures are exactly the two by-design
 ones (c2b and c3), nothing errors, and nothing is skipped, xfailed or
@@ -33,16 +35,19 @@ OUTCOMES = ("passed", "failed", "error", "skipped", "xfailed", "xpassed")
 
 
 class Outcomes:
-    """pytest plugin: node ids by outcome."""
+    """pytest plugin: node ids by outcome, and the seconds of each call phase."""
 
     def __init__(self):
         self.ids = {outcome: [] for outcome in OUTCOMES}
+        self.call_s = []
 
     def pytest_collectreport(self, report):
         if report.failed:
             self.ids["error"].append(report.nodeid)
 
     def pytest_runtest_logreport(self, report):
+        if report.when == "call":
+            self.call_s.append([report.nodeid, round(report.duration, 3)])
         if hasattr(report, "wasxfail"):
             outcome = "xfailed" if report.skipped else "xpassed"
         elif report.when == "call" or report.skipped:
@@ -78,7 +83,9 @@ def main(argv=None) -> int:
     unexpected = verdict(plugin.ids)
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump({"outcomes": plugin.ids, "unexpected": unexpected, "ok": not unexpected,
-                   "wall_s": round(wall_s, 3), "src_lines": sum(by_module.values()),
+                   "wall_s": round(wall_s, 3),
+                   "slowest": sorted(plugin.call_s, key=lambda c: -c[1])[:10],
+                   "src_lines": sum(by_module.values()),
                    "src_lines_by_module": by_module}, fh, indent=2)
         fh.write("\n")
     for line in unexpected:
