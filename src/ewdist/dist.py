@@ -71,7 +71,7 @@ class MvtParams:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _validate_count("rho", self.dim))
-        object.__setattr__(self, "dof", _positive("dof", self.dof))
+        object.__setattr__(self, "dof", _positive("nu", self.dof))
 
 
 def f_pdf(y, p: FParams):

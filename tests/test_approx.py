@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -364,8 +365,71 @@ def test_marginal_matches_mpmath(setting):
 
 
 @pytest.mark.parametrize("setting", CERTIFICATE_SETTINGS)
-def test_joint_total_mass_is_one_to_1e10(setting):
-    assert abs(joint_total_mass(RatioSetting(*setting)) - 1.0) <= 1e-10
+def test_joint_total_mass_is_one_to_1e13(setting):
+    assert abs(joint_total_mass(RatioSetting(*setting)) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("patched", ["_log_joint", "_log_marginal"])
+def test_joint_total_mass_nan_integrand_is_numeric_error(monkeypatch, patched):
+    # a NaN joint fails inside the marginal, a NaN marginal in the joint mass's own rule
+    monkeypatch.setattr(approx, patched, lambda *args: np.full(np.shape(args[0]), np.nan))
+    s = RatioSetting(3, 2, 50, 50)
+    with pytest.raises(NumericError) as info:
+        joint_total_mass(s)
+    assert info.value.diagnostics["setting"] == str(s)
+
+
+def test_log_trapezoid_integrates_gaussian_columns():
+    # two columns of log g = -(t - mu)^2 / (2 sigma^2), each on its own grid
+    mu, sigma = np.array([-3.0, 5.0]), np.array([0.5, 4.0])
+    got = approx._log_trapezoid(
+        lambda t: -0.5 * ((t - mu) / sigma) ** 2,
+        lambda t: -(t - mu) / sigma**2,
+        lambda t: np.broadcast_to(1.0 / sigma**2, np.shape(t)),
+        mu - 10.0, mu + 10.0,
+        lambda j, text, **diagnostics: NumericError(text, **diagnostics),
+    )
+    expected = np.log(np.sqrt(2.0 * np.pi * sigma**2))
+    assert np.all(np.abs(got / expected - 1.0) <= 1e-14)
+
+
+def mp_marginal_closed(w, setting, dps=40):
+    """f_W(w) in closed form (oracle): the integral over u of
+    u^(a-1) (1 + alpha u)^-p (1 + beta u)^-q is
+    beta^-a B(a, p+q-a) 2F1(p, a; p+q; 1 - alpha/beta) (Gradshteyn & Ryzhik 3.197.1)."""
+    with mp.workdps(dps):
+        m1, m2, nu1, nu2 = (mp.mpf(v) for v in setting)
+        w = mp.mpf(w)
+        a, p, q = (m1 + m2) / 2, (m1 + nu1) / 2, (m2 + nu2) / 2
+        alpha, beta = m1 * w / nu1, m2 * (1 - w) / nu2
+        log_c = (
+            m1 / 2 * mp.log(m1 / nu1) + m2 / 2 * mp.log(m2 / nu2)
+            - mp.log(mp.beta(m1 / 2, nu1 / 2)) - mp.log(mp.beta(m2 / 2, nu2 / 2))
+            + (m1 / 2 - 1) * mp.log(w) + (m2 / 2 - 1) * mp.log1p(-w)
+        )
+        return mp.exp(log_c) * beta**-a * mp.beta(a, p + q - a) * mp.hyp2f1(p, a, p + q, 1 - alpha / beta)
+
+
+def test_closed_form_oracle_matches_quadrature_oracle():
+    setting, w = (3, 2, 3, 3), 1e-10  # the flat top below
+    assert abs(mp_marginal_closed(w, setting) / mp_marginal(w, setting) - 1) <= 1e-20
+
+
+@pytest.mark.parametrize("setting", [(3, 2, 3, 3), (5, 1, 5, 5), (1, 1, 1, 1)])
+def test_marginal_with_a_flat_top_is_finite_and_exact(setting):
+    # m1 == nu2 makes the slope of log g 0 on a plateau ~|log w| wide as w -> 0
+    # (m2 == nu1 as w -> 1): the curvature at the mode is then ~1e-4, and
+    # the end search once started at t ~ 1100, where exp(t) overflows
+    s = RatioSetting(*setting)
+    for w in (1e-10, 1e-12, 1e-15, 1 - 1e-12):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = marginal_w_density(w, s)
+        assert abs(got / float(mp_marginal_closed(w, setting)) - 1.0) <= 1e-12, w
+
+
+def test_joint_mass_with_a_flat_top_is_one():
+    assert abs(joint_total_mass(RatioSetting(3, 2, 3, 3)) - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("setting", CERTIFICATE_SETTINGS)

@@ -282,6 +282,17 @@ def test_elemental_negative_n_matrices_exits_2(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nu", ["0", "-1", "nan", "inf"])
+def test_elemental_bad_nu_names_the_flag(tmp_path, capsys, nu):
+    # MvtParams calls its field dof, but the message names the --nu flag
+    out = tmp_path / "gen.csv"
+    assert run_cli(["elemental", "--generate", "--rho", 2, "--nu", nu, "--l", 7, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"ew: nu must be strictly positive and finite, got {float(nu)}" in err
+    assert "dof" not in err
+    assert not out.exists()
+
+
 def _address_space_cap():
     # a regression that draws the designs before failing stops at 3 GiB
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
