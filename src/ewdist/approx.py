@@ -234,6 +234,7 @@ def u_tail_cutoff(s: RatioSetting) -> float:
     return b / a * y / (1.0 - y)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # the checks below raise
 def _log_trapezoid(log_g, slope, curvature, lo, hi, fail) -> np.ndarray:
     """log of the integral over t of each column of a log-concave g, by the
     rule of `marginal_w_density`.  `log_g`, `slope` and `curvature` (-(log g)'')

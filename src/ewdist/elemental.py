@@ -32,7 +32,6 @@ __all__ = [
     "weight_of_set",
     "all_weights",
     "chain_ratios",
-    "subset_by_rank",
     "expected_weight_sum",
     "simulate_weight_distribution",
     "simulated_design",
@@ -158,13 +157,6 @@ def chain_ratios(x, e) -> np.ndarray:
     if np.any(sign[1:] <= 0):
         raise RankError("rank-one update produced a non-positive determinant")
     return np.exp(logdet[:-1] - logdet[1:])
-
-
-def subset_by_rank(l: int, k: int, rank: int) -> tuple:
-    """rank-th (0-based) k-subset of {1..l} in lexicographic order; C(l, k) <= 2**63."""
-    if rank < 0 or rank >= math.comb(l, k):
-        raise DomainError(f"rank {rank} out of range for C({l},{k})")
-    return tuple((_subsets_by_rank(l, k, [rank])[0] + 1).tolist())
 
 
 def _rank_count(l: int, k: int) -> int:

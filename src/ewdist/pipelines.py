@@ -28,13 +28,11 @@ from .specfun import _validate_count
 
 __all__ = [
     "DEFAULT_GOF_GRID",
-    "FIGURE_PAIRS",
     "compare_cdf_rows",
     "gof_table_rows",
     "omega_rows",
     "elemental_matrix_rows",
     "elemental_simulation_report",
-    "w_beta_gap",
 ]
 
 # the 30 (m1, m2, nu) combinations of the reported test table
@@ -68,23 +66,12 @@ _FORK_DRAWS = 90_000
 # the columns of the gof-table, one row per grid row per replication
 _GOF_COLUMNS = ("m1", "m2", "nu", "n", "rep", "ks", "ks_identical", "ad", "ad_identical")
 
-# the eight CDF-comparison panels at nu = 50; (2, 1) appears twice as printed
-FIGURE_PAIRS = ((1, 1), (2, 1), (2, 1), (3, 2), (11, 5), (12, 5), (11, 10), (12, 10))
-
 
 def _require_approx_regime(m1, m2, nu):
     if not (m2 <= m1 < nu):
         raise RegimeError(
             f"approximation regime requires m2 <= m1 < nu, got m1={m1}, m2={m2}, nu={nu}"
         )
-
-
-def w_beta_gap(m1, m2, nu, n, seed) -> float:
-    """Exact sup gap between the W sample's ECDF and the proposed Beta CDF."""
-    _require_approx_regime(m1, m2, nu)
-    shape = approx.approx_shape(m2)
-    sample = w_sample(m1, m2, nu, n, seed)
-    return goftests.ks_one_sample(sample, lambda x: beta_cdf(x, shape)).statistic
 
 
 def compare_cdf_rows(m1, m2, nu, n, grid_points, seed):

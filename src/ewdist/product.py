@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaincinv, digamma
+from scipy.special import betaincinv
 
 from .approx import approx_shape
 from .dist import beta_pdf, beta_cdf
@@ -28,7 +28,6 @@ __all__ = [
     "ProductSpec",
     "omega_sample",
     "omega_moment",
-    "omega_log_moment",
     "omega_pdf_numeric",
     "omega_cdf_numeric",
 ]
@@ -81,12 +80,6 @@ def omega_moment(spec: ProductSpec, k) -> float:
     return math.exp(
         spec.n2 * (ln_beta(shape.alpha + k, shape.beta) - ln_beta(shape.alpha, shape.beta))
     )
-
-
-def omega_log_moment(spec: ProductSpec) -> float:
-    """Closed-form E[-ln Omega] = n2 * (psi(a+b) - psi(a))."""
-    shape = spec.factor_shape
-    return spec.n2 * float(digamma(shape.alpha + shape.beta) - digamma(shape.alpha))
 
 
 @lru_cache(maxsize=32)

@@ -469,6 +469,13 @@ def test_marginal_nan_integrand_is_numeric_error(monkeypatch):
     assert info.value.diagnostics["setting"] == str(s)
 
 
+def test_marginal_underflowing_integrand_is_numeric_error_without_warnings():
+    # exp(t) overflows and underflows on the way to the ends; filterwarnings = error
+    # turns any numpy warning that leaks out of the kernel into a failure here
+    with pytest.raises(NumericError, match="w=1e-300"):
+        marginal_w_density(1e-300, RatioSetting(1, 0.1, 0.5, 0.5))
+
+
 @pytest.mark.parametrize("setting", CERTIFICATE_SETTINGS)
 def test_certificate_joint_and_scaled_marginal(setting):
     report = certify_bounds(RatioSetting(*setting), n_u=200, n_w=99)

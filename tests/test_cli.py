@@ -95,18 +95,23 @@ def test_numeric_failure_exits_4_with_diagnostics(tmp_path, monkeypatch, capsys)
 def test_certify_bounds_numeric_failure_exits_4_with_diagnostics(tmp_path, monkeypatch, capsys):
     from ewdist import approx
 
-    monkeypatch.setattr(
-        approx, "_log_joint", lambda u, w, s, log_k0: np.full(np.shape(u * w), np.nan)
-    )
-    code = run_cli(
-        ["certify-bounds", "--m1", 3, "--m2", 2, "--nu1", 50, "--nu2", 50,
-         "--out", tmp_path / "cert.json"]
-    )
-    assert code == 4
-    err = capsys.readouterr().err
-    assert "numeric failure" in err
-    for key in ("setting", "step", "tail_bound", "w"):
-        assert f"ew:   {key}=" in err
+    # a real input, whose left tail decays at (m1 + m2)/2 per nat so that exp(t)
+    # underflows, then a NaN integrand
+    for m1, m2, log_joint in ((0.01, 0.005, None),
+                              (3, 2, lambda u, w, s, log_k0: np.full(np.shape(u * w), np.nan))):
+        if log_joint:
+            monkeypatch.setattr(approx, "_log_joint", log_joint)
+        code = run_cli(
+            ["certify-bounds", "--m1", m1, "--m2", m2, "--nu1", 50, "--nu2", 50,
+             "--out", tmp_path / "cert.json"]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numeric failure" in err
+        for key in ("setting", "step", "tail_bound", "w"):
+            assert f"ew:   {key}=" in err
+        assert all(line.startswith("ew:") for line in err.splitlines()), err
+        assert not (tmp_path / "cert.json").exists()
 
 
 def test_cli_import_leaves_scipy_integrate_out():

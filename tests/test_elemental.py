@@ -14,7 +14,6 @@ from ewdist.elemental import (
     load_design_csv,
     simulate_weight_distribution,
     simulated_design,
-    subset_by_rank,
     weight_of_set,
 )
 from ewdist.errors import DomainError, RankError, SizeError
@@ -187,7 +186,7 @@ def _reference_simulation(p, l, n_matrices, seed, mode, intercept):
             out += all_weights(x, set_size=k)[1].tolist()
         else:
             rank = int(stream([child(seed, 2 * j + 1)]).integers(0, math.comb(l, k)))
-            out.append(weight_of_set(x, subset_by_rank(l, k, rank)))
+            out.append(weight_of_set(x, list(combinations(range(1, l + 1), k))[rank]))
     return np.array(out)
 
 
@@ -303,14 +302,6 @@ def test_row_permutation_equivariance(rng):
     assert np.allclose(ws, ws_p, rtol=1e-10, atol=0.0)
 
 
-def test_subset_by_rank_matches_lexicographic():
-    combos = [tuple(c) for c in combinations(range(1, 8), 3)]
-    for r, expected in enumerate(combos):
-        assert subset_by_rank(7, 3, r) == expected
-    with pytest.raises(DomainError):
-        subset_by_rank(7, 3, len(combos))
-
-
 @pytest.mark.parametrize("l,k", [(7, 3), (12, 4), (30, 2), (9, 9), (5, 1)])
 def test_array_ranks_match_itertools(l, k):
     want = np.array(list(combinations(range(l), k)), dtype=np.intp).reshape(-1, k)
@@ -340,7 +331,7 @@ def test_array_ranks_at_large_l_and_near_2_63():
         for rank, subset in zip(ranks, elemental._subsets_by_rank(l, k, np.array(ranks))):
             assert _lex_rank(l, (subset + 1).tolist()) == rank
     with pytest.raises(SizeError, match="exceeds 2\\*\\*63"):
-        subset_by_rank(67, 34, 0)
+        elemental._subsets_by_rank(67, 34, [0])
 
 
 def test_simulate_outputs_in_unit_interval():

@@ -118,11 +118,6 @@ def test_gof_table_rows_replication_count():
         pipelines.gof_table_rows(grid, n=1, replications=2, seed=1)
 
 
-def test_figure_pairs_as_printed():
-    assert len(pipelines.FIGURE_PAIRS) == 8
-    assert pipelines.FIGURE_PAIRS.count((2, 1)) == 2
-
-
 def test_omega_rows_moments_and_tail():
     columns, summary = pipelines.omega_rows(2, 3, n=20_000, grid_points=200, seed=2)
     assert list(columns) == ["row_type", "x", "analytic", "empirical"]
@@ -189,8 +184,3 @@ def test_elemental_simulation_report_draws_each_design_once(monkeypatch, mode, n
     expected = float(sum(elemental.all_weights(first, set_size=3)[1]))
     assert summary["cauchy_binet_sum_first_matrix"] == expected
     assert summary["n_weights"] == n_matrices * (35 if mode == "all" else 1)
-
-
-def test_w_beta_gap_runs():
-    gap = pipelines.w_beta_gap(3, 2, 50, 2000, seed=6)
-    assert 0.0 < gap < 0.2

@@ -11,12 +11,10 @@ from ewdist.goftests import ks_one_sample, ks_two_sample
 from ewdist.product import (
     ProductSpec,
     omega_cdf_numeric,
-    omega_log_moment,
     omega_moment,
     omega_pdf_numeric,
     omega_sample,
 )
-from ewdist.specfun import ln_gamma
 
 
 def erlang_pdf_omega(w, n2, rate=1.25):
@@ -145,18 +143,6 @@ def test_cdf_vs_monte_carlo_sup_distance():
     draws = omega_sample(spec, 2 * 10**5, 13)
     gap = ks_one_sample(draws, lambda x: omega_cdf_numeric(spec, x)).statistic
     assert gap < 0.01
-
-
-def test_log_moment_against_differenced_ln_gamma_and_mc():
-    spec = ProductSpec(2, 3)
-    shape = spec.factor_shape
-    h = 1e-6
-    digamma = lambda x: (ln_gamma(x + h) - ln_gamma(x - h)) / (2 * h)
-    oracle = spec.n2 * (digamma(shape.alpha + shape.beta) - digamma(shape.alpha))
-    assert omega_log_moment(spec) == pytest.approx(oracle, abs=1e-8)
-    draws = -np.log(omega_sample(spec, 10**6, 41))
-    se = draws.std(ddof=1) / np.sqrt(draws.size)
-    assert abs(draws.mean() - omega_log_moment(spec)) < 4 * se
 
 
 def test_spec_validation():

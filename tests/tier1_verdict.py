@@ -5,11 +5,13 @@
 Runs `pytest -q --continue-on-collection-errors` on this directory and
 writes {"outcomes": {outcome: [node ids]}, "unexpected": [...], "ok": bool,
 "wall_s": seconds, "slowest": [[node id, seconds]], "src_lines": count,
-"src_lines_by_module": {path: count}} to PATH (default tier1_verdict.json),
+"src_lines_by_module": {path: count}, "test_lines": count,
+"test_lines_by_file": {path: count}} to PATH (default tier1_verdict.json),
 where wall_s is the wall time of the pytest run, slowest the ten slowest
 test calls by the duration of their call phase, src_lines_by_module the
 line count of each src/ewdist/*.py, as `wc -l` counts them, and src_lines
-their sum.  Outcomes are passed,
+their sum; test_lines_by_file and test_lines count tests/*.py the same
+way.  Outcomes are passed,
 failed, error (setup, teardown or collection), skipped, xfailed and
 xpassed.  Exits 0 only when the failures are exactly the two by-design
 ones (c2b and c3), nothing errors, and nothing is skipped, xfailed or
@@ -78,15 +80,19 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     pytest.main(["-q", "--continue-on-collection-errors", str(tests)], plugins=[plugin])
     wall_s = time.perf_counter() - start
-    by_module = {p.relative_to(tests.parent).as_posix(): p.read_bytes().count(b"\n")
-                 for p in sorted((tests.parent / "src/ewdist").glob("*.py"))}
+    by_module, by_file = (
+        {p.relative_to(tests.parent).as_posix(): p.read_bytes().count(b"\n")
+         for p in sorted(folder.glob("*.py"))}
+        for folder in (tests.parent / "src/ewdist", tests))
     unexpected = verdict(plugin.ids)
     with open(args.json, "w", encoding="utf-8") as fh:
         json.dump({"outcomes": plugin.ids, "unexpected": unexpected, "ok": not unexpected,
                    "wall_s": round(wall_s, 3),
                    "slowest": sorted(plugin.call_s, key=lambda c: -c[1])[:10],
                    "src_lines": sum(by_module.values()),
-                   "src_lines_by_module": by_module}, fh, indent=2)
+                   "src_lines_by_module": by_module,
+                   "test_lines": sum(by_file.values()),
+                   "test_lines_by_file": by_file}, fh, indent=2)
         fh.write("\n")
     for line in unexpected:
         print(f"tier1: {line}", file=sys.stderr)
