@@ -44,7 +44,6 @@ import os
 import re
 import sys
 from concurrent.futures import BrokenExecutor
-from contextlib import nullcontext
 from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -207,9 +206,8 @@ def _emit_table(args, columns, summary=None, others=()):
     blocks = ([col[start:start + _BLOCK_ROWS] for col in columns.values()]
               for start in range(0, n_rows, _BLOCK_ROWS))
     block_text = partial(_block_text, as_json=as_json)
-    serial = n_rows < _FORK_BLOCKS * _BLOCK_ROWS  # too little text to repay the fork
-    with (nullcontext(map(block_text, blocks)) if serial
-          else rng._fork_map(block_text, blocks)) as body:
+    # fork only for enough text to repay it
+    with rng._fork_map(block_text, blocks, n_rows >= _FORK_BLOCKS * _BLOCK_ROWS) as body:
         body = chain.from_iterable(zip(chain([""], repeat(sep)), body))  # blocks joined by sep
         _write([(args.out, chain(head, body, tail)), *others])
 

@@ -16,7 +16,6 @@ seeds, so no column depends on the worker count.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -124,9 +123,7 @@ def gof_table_rows(grid, n, replications, seed):
                             np.arange(replications))
     w_seeds, ref_seeds = derive_seed(rep_seeds, 0), derive_seed(rep_seeds, 1)
     items = [(row, n, w, ref) for row, w, ref in zip(grid, w_seeds, ref_seeds)]
-    serial = len(grid) * replications * n < _FORK_DRAWS
-    with (nullcontext(map(_gof_grid_row, items)) if serial
-          else rng._fork_map(_gof_grid_row, items)) as parts:
+    with rng._fork_map(_gof_grid_row, items, len(grid) * replications * n >= _FORK_DRAWS) as parts:
         return dict(zip(_GOF_COLUMNS, map(np.concatenate, zip(*parts)))), {}
 
 

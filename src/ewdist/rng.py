@@ -19,14 +19,15 @@ one thread per CPU available to the process, capped at the chunks per
 seed; seeds of one chunk draw on the calling thread.
 
 `_fork_map` is the one process pool: it maps a module-level function over
-items in forked workers and returns the results in item order.  The CSV
-writer formats blocks of a large body with it, and `gof-table` runs its
-grid rows with it; every item carries its own seeds, so no output depends
-on how many workers ran.
+items in forked workers, in item order, or in the calling process when its
+caller's size rule says the work is too small to repay a fork.  The CSV
+writer formats the blocks of a body with it, and `gof-table` runs its grid
+rows with it; every item carries its own seeds, so no output depends on
+how many workers ran.
 
-There is one derivation: ``_seed_state`` computes the ``SeedSequence``
-arithmetic over whole arrays of seeds and indices, scalars included, and
-``tests/test_rng.py`` checks it bit for bit against numpy's ``SeedSequence``.
+There is one derivation: ``_seed_state`` runs numpy's ``SeedSequence``
+loops (``mix_entropy``, ``generate_state``) over whole arrays of seeds and
+indices, scalars included; ``tests/test_rng.py`` checks it bit for bit.
 
 Philox is counter-based, so a stream is its key: each thread keeps one
 generator and re-keys it per stream (`_keyed`), lending it to one draw
@@ -77,48 +78,14 @@ def _key_array(name: str, value) -> np.ndarray:
     return arr.astype(np.uint64)
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4 uint32
-# words filled by `hashmix` and `mix`, read out by the `generate_state` hash.
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), a pool of 4 uint32 words
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = 16
 _MAX_WORDS = 6  # three 64-bit entries
-
-
-def _hash_steps(init: int, mult: int, count: int):
-    """(xor, mul) uint32 columns of `count` steps of a running hash constant.
-
-    Step t xors the value with the constant, multiplies the constant by
-    `mult`, then multiplies the value by the new constant.
-    """
-    steps, h = [], init
-    for _ in range(count):
-        nxt = h * mult & 0xFFFFFFFF
-        steps.append((h, nxt))
-        h = nxt
-    xor, mul = np.array(steps, dtype=np.uint32).T[:, :, None]
-    return xor, mul
-
-
-# mix_entropy's hashmix calls in order: the pool fill, 4 x 3 cross mixes,
-# then 4 per entropy word past the pool
-_MIX_XOR, _MIX_MUL = _hash_steps(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (_MAX_WORDS - _POOL))
-_FILL = _MIX_XOR[:_POOL], _MIX_MUL[:_POOL]
-_CROSS = [(src, np.array([dst for dst in range(_POOL) if dst != src]),
-           (_MIX_XOR[_POOL + 3 * src:_POOL + 3 * src + 3],
-            _MIX_MUL[_POOL + 3 * src:_POOL + 3 * src + 3])) for src in range(_POOL)]
-_EXTRA = [(_MIX_XOR[_POOL * w:_POOL * (w + 1)], _MIX_MUL[_POOL * w:_POOL * (w + 1)])
-          for w in range(_POOL, _MAX_WORDS)]
-_OUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 4)  # generate_state: up to two uint64 words
 _LOW, _HIGH = np.uint64(0xFFFFFFFF), np.uint64(32)
-
-
-def _hashmix(value: np.ndarray, steps) -> np.ndarray:
-    xor, mul = steps
-    value = (value ^ xor) * mul
-    return value ^ (value >> _XSHIFT)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -131,11 +98,11 @@ def _seed_state(columns, n64: int) -> np.ndarray:
     for every element i of the broadcast uint64 `columns`, shape (*shape, n64).
 
     Each entry is split into uint32 words as numpy's ``_int_to_uint32_array``
-    does: one word below 2**32 (0 included), two otherwise.  An element's
-    words are laid out in a zero-padded (words x elements) array; padding
-    up to the pool size is what numpy's fill does, and the words past it
-    are mixed in only where an element has them.  An entry shared by every
-    element (a 0-d column, such as a tag) is split once, in Python.
+    does: one word below 2**32 (0 included), two otherwise.  The words sit in
+    a zero-padded (words x elements) array, each element with its own word
+    count; a 0-d column (a tag) is split once, in Python.  The rest is numpy's
+    ``mix_entropy`` and ``generate_state`` loops, each step taken for every
+    element at once under one running hash constant `h`, as in numpy.
     """
     columns = [np.asarray(c, dtype=np.uint64) for c in columns]
     shape = np.broadcast(*columns).shape
@@ -151,19 +118,28 @@ def _seed_state(columns, n64: int) -> np.ndarray:
         words[at + size] = hi  # a one-word entry's 0 here is overwritten next, or is padding
         words[at] = lo
         at += size + size * (hi != 0)
-    n_words = at // size
-    words = words.reshape(_MAX_WORDS, size)
+    n_words, words = at // size, words.reshape(_MAX_WORDS, size)
+    h = _INIT_A
 
-    pool = _hashmix(words[:_POOL], _FILL)
-    for src, dst, steps in _CROSS:
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
-    for w, steps in zip(range(_POOL, int(n_words.max(initial=0))), _EXTRA):
-        pool = np.where(w < n_words, _mix(pool, _hashmix(words[w], steps)), pool)
+    def hashmix(value, mult=_MULT_A):
+        nonlocal h
+        value, h = value ^ h, h * mult & 0xFFFFFFFF
+        value = value * h
+        return value ^ (value >> _XSHIFT)
 
-    xor, mul = _OUT_STEPS
-    state = _hashmix(pool[:2 * n64], (xor[:2 * n64], mul[:2 * n64])).astype(np.uint64)
-    out = state[0::2] | (state[1::2] << _HIGH)  # little-endian word pairs
-    return out.T.reshape(*shape, n64)
+    # mix_entropy: fill, cross mix, then each word past the pool where an element has it
+    pool = [hashmix(words[i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in range(_POOL, int(n_words.max(initial=0))):
+        for dst in range(_POOL):
+            pool[dst] = np.where(w < n_words, _mix(pool[dst], hashmix(words[w])), pool[dst])
+
+    h = _INIT_B  # generate_state, its uint32 words paired little-endian into uint64
+    state = np.array([hashmix(pool[i % _POOL], _MULT_B) for i in range(2 * n64)], dtype="<u4")
+    return state.T.copy().view("<u8").astype(np.uint64).reshape(*shape, n64)
 
 
 _local = threading.local()  # each thread's one generator
@@ -206,23 +182,23 @@ def _available_cpus() -> int:
 
 
 @contextmanager
-def _fork_map(func, items):
-    """``map(func, items)`` computed in forked worker processes, in item order.
+def _fork_map(func, items, fork: bool):
+    """``map(func, items)`` in item order; in forked worker processes if `fork`.
 
-    One worker per available CPU up to the number of items; with fewer than
-    two, a plain ``map`` in the calling process.  `func` must be a
-    module-level function: it is sent to the workers by name.  Every worker
-    is forked, and every item handed out, on entry, so no worker inherits a
-    file the caller opens inside the block.  A worker's exception is raised
-    in the caller with its type and message when its result is read; a
-    killed worker raises ``BrokenExecutor`` rather than hanging; leaving the
-    block joins every worker.
+    One worker per available CPU up to the number of items; with `fork` false
+    or fewer than two workers, a plain ``map`` in the calling process.  `func`
+    must be a module-level function: it is sent to the workers by name.  Every
+    worker is forked, and every item handed out, on entry, so no worker inherits
+    a file the caller opens inside the block.  A worker's exception is raised in
+    the caller with its type and message when its result is read; a killed
+    worker raises ``BrokenExecutor`` rather than hanging; leaving the block
+    joins every worker.
 
-        with _fork_map(func, items) as results:
+        with _fork_map(func, items, fork) as results:
             ...
     """
     items = list(items)
-    workers = min(_available_cpus(), len(items))
+    workers = min(_available_cpus(), len(items)) if fork else 1
     if workers < 2:
         yield map(func, items)
         return
@@ -234,8 +210,8 @@ def _fork_map(func, items):
     # (~0.4 s), more than a pool saves here.  Forking beside OpenBLAS's idle
     # threads is safe as long as `func` calls no BLAS routine and takes no
     # lock another thread may hold, which every caller's function keeps to.
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         yield pool.map(func, items)
 
 

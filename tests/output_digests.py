@@ -1,0 +1,96 @@
+"""Print a digest line for every README example and benchmark-workload command.
+
+    python tests/output_digests.py
+
+Runs each command in a fresh interpreter on the `src/` beside this
+directory, at pinned seeds, in its own empty temporary directory, and
+prints one line per command:
+
+    name exit=CODE FILE=SHA256 ... stderr=SHA256
+
+with one FILE=SHA256 for each file the command left, by name.  Paths on
+the command line are relative, so a path a command embeds in its output
+(the gnuplot script) is the same in every run.  Two trees write the same
+bytes, exit codes and stderr included, exactly when their runs of this
+script print the same lines.  The workload commands are those of
+`bench/workloads.py` at its full sizes, written out here with fixed seeds;
+not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MAIN = "import sys; from ewdist.cli import main; sys.exit(main(sys.argv[1:]))"
+W_ARGS = ["--m1", "12", "--m2", "10", "--nu", "50", "--n", "1000000", "--seed", "103"]
+GENERATE = ["elemental", "--generate", "--rho", "2", "--nu", "50", "--l", "7"]
+CERTIFY_SETTINGS = [("3", "2", "50", "50"), ("2.5", "2", "50", "50"), ("11", "10", "150", "150"),
+                    ("6", "5", "50", "50"), ("30", "25", "50", "50")]
+
+COMMANDS = [
+    # README examples, including its exit-4 one
+    ("readme-compare-cdf", "compare-cdf --m1 12 --m2 10 --nu 50 --n 10000 --seed 1 --out cmp.csv"
+                           " --gnuplot-script cmp.gp".split()),
+    ("readme-gof-table",
+     "gof-table --replications 5 --seed 1 --out table.json --format json".split()),
+    ("readme-omega", "omega --rho 2 --n2 3 --n 1000000 --seed 1 --out omega.csv".split()),
+    ("readme-elemental", GENERATE + "--n-matrices 2000 --seed 1 --out weights.csv".split()),
+    ("readme-certify-bounds",
+     "certify-bounds --m1 3 --m2 2 --nu1 50 --nu2 50 --out cert.json".split()),
+    ("readme-certify-exit4",
+     "certify-bounds --m1 300 --m2 2 --nu1 1000 --nu2 1000 --out cert.json".split()),
+    # workload certify
+    *((f"certify-{m1}-{m2}-{nu1}-{nu2}",
+       ["certify-bounds", "--m1", m1, "--m2", m2, "--nu1", nu1, "--nu2", nu2, "--grid", "200x99",
+        "--seed", str(11 + i), "--out", "cert.json"])
+      for i, (m1, m2, nu1, nu2) in enumerate(CERTIFY_SETTINGS)),
+    # workload replicate
+    ("gof-table", "gof-table --replications 100 --format json --seed 101 --out gof.json".split()),
+    ("elemental-sampled", GENERATE + "--n-matrices 2000 --seed 102 --out sampled.csv".split()),
+    ("elemental-all", GENERATE + "--mode all --n-matrices 500 --seed 103 --out all.csv".split()),
+    ("elemental-matrix", "elemental --matrix design.csv --seed 104 --out matrix.csv".split()),
+    # workload bulk
+    ("simulate-w", ["simulate-w", *W_ARGS, "--out", "w.csv"]),
+    ("compare-cdf", ["compare-cdf", *W_ARGS, "--out", "cmp.csv"]),
+    ("omega", "omega --rho 2 --n2 3 --n 1000000 --seed 105 --out omega.csv".split()),
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(name: str, argv: list, workdir: Path) -> str:
+    """Run one command in `workdir`, which holds only its inputs, and return its digest line."""
+    inputs = set(os.listdir(workdir))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", MAIN, *argv], cwd=workdir, env=env,
+                          capture_output=True)
+    files = sorted(set(os.listdir(workdir)) - inputs)
+    digests = [f"{f}={sha256((workdir / f).read_bytes())}" for f in files]
+    return " ".join([name, f"exit={proc.returncode}", *digests, f"stderr={sha256(proc.stderr)}"])
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in COMMANDS:
+            workdir = Path(tmp) / name
+            workdir.mkdir()
+            if "--matrix" in argv:  # 40 standard-normal rows of 3 columns
+                matrix = np.random.default_rng(20261020).standard_normal((40, 3))
+                (workdir / "design.csv").write_text(
+                    "".join(",".join(map(repr, row.tolist())) + "\n" for row in matrix))
+            print(run(name, argv, workdir), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

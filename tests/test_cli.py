@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import ewdist
-from ewdist import cli, dist, pipelines, rng
+from ewdist import approx, cli, dist, pipelines, rng
 from ewdist.cli import build_parser, main
 
 
@@ -865,15 +865,29 @@ def test_killed_csv_worker_exits_2_and_leaves_no_output(fmt, tmp_path):
 
 
 def _counting_fork_map(monkeypatch):
-    """Count the calls of rng._fork_map, which still runs as before."""
+    """Count the calls of rng._fork_map that may fork; every call still runs as before."""
     calls, real = [], rng._fork_map
 
-    def counting(func, items):
-        calls.append(func.__name__)
-        return real(func, items)
+    def counting(func, items, fork):
+        if fork:
+            calls.append(func.__name__)
+        return real(func, items, fork)
 
     monkeypatch.setattr(rng, "_fork_map", counting)
     return calls
+
+
+def test_fork_map_told_not_to_fork_runs_in_this_process(monkeypatch):
+    monkeypatch.setattr(rng, "_available_cpus", lambda: 4)
+    items = [2.0, 3.0, 5.0, 7.0, 11.0, 13.0]
+    with rng._fork_map(approx.approx_shape, items, False) as results:
+        serial = list(results)
+        assert multiprocessing.active_children() == []
+    with rng._fork_map(approx.approx_shape, items, True) as results:
+        forked = list(results)
+        assert len(multiprocessing.active_children()) == 4
+    assert serial == forked
+    assert multiprocessing.active_children() == []
 
 
 def test_gof_table_rows_in_workers_are_byte_identical(tmp_path, monkeypatch):

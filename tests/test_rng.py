@@ -54,6 +54,29 @@ def test_key_streams_match_seed_sequence_streams():
         assert np.array_equal(ours, ref)
 
 
+@pytest.mark.parametrize("n64", [1, 2])
+def test_seed_state_mixes_in_a_sixth_entropy_word(n64):
+    # three two-word entries: words 5 and 6 are mixed in past the pool
+    entropy = [2**40, 2**50, 2**60]
+    got = rng._seed_state([np.uint64(e) for e in entropy], n64)
+    assert np.array_equal(got, np.random.SeedSequence(entropy).generate_state(n64, np.uint64))
+    # beside elements with fewer words, each element still gets its own state
+    seeds = np.array([1, 2**40, 2**64 - 1], dtype=np.uint64)
+    got = rng._seed_state([seeds, np.uint64(2**50), np.uint64(2**60)], n64)
+    want = [np.random.SeedSequence([int(s), 2**50, 2**60]).generate_state(n64, np.uint64)
+            for s in seeds]
+    assert np.array_equal(got, np.array(want))
+
+
+def test_seed_state_of_no_seeds():
+    empty = np.zeros(0, dtype=np.uint64)
+    chunks = np.arange(31, dtype=np.uint64)
+    got = rng._seed_state([empty[:, None], rng._CHUNK_TAG, chunks], 2)
+    assert got.dtype == np.uint64 and got.shape == (0, 31, 2)
+    got = rng._seed_state([empty], 2)
+    assert got.dtype == np.uint64 and got.shape == (0, 2)
+
+
 # Integers below 2**32 and float32 draws take 32-bit words, the others 64-bit
 # words.  A power-of-two range rejects no word, so a stale spare word shows.
 REKEY_DRAWS = {
