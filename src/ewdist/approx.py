@@ -397,7 +397,9 @@ def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
     (w_envelope <= marginal <= a1 * w_envelope) and the constant-scaled
     form (a2 * w_envelope <= marginal).  A ratio counts as a violation
     beyond a relative slack of 1e-9; up to 20 violating grid points per
-    side are listed with their ratios rather than hidden.
+    side are listed with their ratios rather than hidden.  Each term is
+    evaluated on its own axis, u a column and w a row, and broadcast; only
+    the terms that mix u and w fill the whole grid.
     """
     s.require_bound_regime()
     log_a1, a1 = _upper(s)
@@ -407,18 +409,18 @@ def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
     w_grid = default_w_grid(n_w)
     u_hi = u_tail_cutoff(s)
     u_grid = np.logspace(-4.0, math.log10(u_hi), n_u)
-    uu, ww = np.meshgrid(u_grid, w_grid, indexing="ij")
+    u_col = u_grid[:, None]  # against the row w_grid, the (n_u, n_w) grid
 
-    log_h = _log_joint(uu, ww, s, _log_k0(s))
-    log_env_w = _log_beta_pdf(ww, 0.5 * s.m1, 0.5 * s.m2)
-    log_up = log_a1 + _log_u(uu, s, "upper") + log_env_w
-    log_lo = log_a2 + _log_u(uu, s, "lower") + log_env_w
+    log_h = _log_joint(u_col, w_grid, s, _log_k0(s))
+    log_env_w = _log_beta_pdf(w_grid, 0.5 * s.m1, 0.5 * s.m2)
+    log_up = log_a1 + _log_u(u_col, s, "upper") + log_env_w
+    log_lo = log_a2 + _log_u(u_col, s, "lower") + log_env_w
 
     upper_ratio = np.exp(log_h - log_up)  # <= 1 when the upper bound holds
     lower_ratio = np.exp(log_h - log_lo)  # >= 1 when the lower bound holds
 
     marginal = marginal_w_density(w_grid, s)
-    env_w = np.exp(log_env_w[0])
+    env_w = np.exp(log_env_w)
     plain_lower = marginal / env_w          # >= 1 iff env <= marginal
     scaled_upper = marginal / (a1 * env_w)  # <= 1 iff marginal <= a1 * env
     scaled_lower = marginal / (a2 * env_w)  # >= 1 iff a2 * env <= marginal
@@ -442,9 +444,7 @@ def certify_bounds(s: RatioSetting, n_u: int = 200, n_w: int = 99) -> dict:
     return {
         "setting": {"m1": s.m1, "m2": s.m2, "nu1": s.nu1, "nu2": s.nu2},
         "grid": {"n_u": int(n_u), "n_w": int(n_w), "u_max": float(u_hi), "slack": _SLACK},
-        "a1": a1,
-        "a2": a2,
-        "a1_ge_1": a1 >= 1.0,
+        "a1": a1, "a2": a2, "a1_ge_1": a1 >= 1.0,
         "joint": {
             "upper_ratio_max": float(upper_ratio.max()),
             "lower_ratio_min": float(lower_ratio.min()),

@@ -33,12 +33,21 @@ blocks; the parent writes the blocks in order, so the bytes never depend
 on the worker count.  `gof-table` may also run its grid rows in forked
 workers (see `pipelines.gof_table_rows`); both pools are `rng._fork_map`,
 and a worker's error or death reaches `main` like any other, as exit 2.
+
+`ew` builds the flags of the invoked command alone; the help and the usage
+errors still list every command.  Importing this module calls `gc.freeze()`
+once: the ~40,000 objects that the import of numpy, scipy and ewdist makes
+live as long as the process, so no later collection scans them, the
+interpreter's last ones at exit included, and forked workers leave their
+pages shared.  The freeze is process-wide: whatever a program that imports
+`ewdist.cli` holds at that moment is frozen too.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import re
@@ -53,6 +62,8 @@ import numpy as np
 from . import approx, dist, pipelines, rng
 from .elemental import load_design_csv
 from .errors import ConfigError, DomainError, EwdistError, NumericError
+
+gc.freeze()  # the import-time heap lives as long as the process: keep it out of every collection
 
 __all__ = ["main", "build_parser"]
 
@@ -310,66 +321,54 @@ def _cmd_certify_bounds(args):
                                    indent=2, sort_keys=True, allow_nan=False) + "\n"])])
 
 
-def build_parser():
+# {command: (function, help, flags)}, in the order of the help texts.  Each command's flags
+# follow the four common ones, which it may re-declare in place, as certify-bounds does --format
+_COMMON = {"--seed": dict(type=int, default=0, help="64-bit unsigned seed"),
+           "--out": dict(required=True, help="output file path"),
+           "--format": dict(choices=("csv", "json"), default="csv"),
+           "--config": dict(default=None, help="key=value file pre-setting flags")}
+_W_FLAGS = {"--m1": dict(type=float, required=True), "--m2": dict(type=float, required=True),
+            "--nu": dict(type=float, required=True), "--n": dict(type=int, default=10000)}
+_COMMANDS = {
+    "simulate-w": (_cmd_simulate_w, "draws of W = Y1/(Y1+Y2)", _W_FLAGS),
+    "compare-cdf": (_cmd_compare_cdf, "ECDF of W vs the proposed Beta CDF", {
+        **_W_FLAGS, "--grid-points": dict(type=int, default=200),
+        "--gnuplot-script": dict(default=None, help="also write a gnuplot script here")}),
+    "gof-table": (_cmd_gof_table, "KS/AD table over a parameter grid", {
+        "--grid": dict(default=None, help="CSV grid file with header m1,m2,nu"),
+        "--n": dict(type=int, default=200), "--replications": dict(type=int, default=1)}),
+    "omega": (_cmd_omega, "product-law CDF grid and moment table", {
+        "--rho": dict(type=int, required=True), "--n2": dict(type=int, required=True),
+        "--n": dict(type=int, default=100000), "--grid-points": dict(type=int, default=500),
+        "--gnuplot-script": dict(default=None)}),
+    "elemental": (_cmd_elemental, "elemental weights of a matrix, or simulated", {
+        "--matrix": dict(default=None, help="headerless CSV design matrix"),
+        "--generate": dict(action="store_true", help="simulate t-distributed matrices"),
+        "--rho": dict(type=int, default=None), "--nu": dict(type=float, default=None),
+        "--l": dict(type=int, default=None), "--n-matrices": dict(type=int, default=1000),
+        "--mode": dict(choices=("all", "sampled-sets"), default="sampled-sets"),
+        "--intercept": dict(action="store_true", help="prepend a constant column")}),
+    "certify-bounds": (_cmd_certify_bounds, "measure the envelope bounds", {
+        "--format": {**_COMMON["--format"], "default": "json"},
+        **{f"--{k}": dict(type=float, required=True) for k in ("m1", "m2", "nu1", "nu2")},
+        "--grid": dict(default="200x99", help="log-u x uniform-w grid, e.g. 200x99")}),
+}
+
+
+def build_parser(command=None):
+    """(parser, {name: subparser}): every command is listed, but only `command`, or every
+    command if None, gets its flags."""
     parser = argparse.ArgumentParser(
         prog="ew",
         description="Beta approximation of F-variate ratios and elemental weight laws",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.add_argument("--seed", type=int, default=0, help="64-bit unsigned seed")
-        p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--config", default=None, help="key=value file pre-setting flags")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("simulate-w", _cmd_simulate_w, help="draws of W = Y1/(Y1+Y2)")
-    p.add_argument("--m1", type=float, required=True)
-    p.add_argument("--m2", type=float, required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--n", type=int, default=10000)
-
-    p = add("compare-cdf", _cmd_compare_cdf, help="ECDF of W vs the proposed Beta CDF")
-    p.add_argument("--m1", type=float, required=True)
-    p.add_argument("--m2", type=float, required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--grid-points", type=int, default=200)
-    p.add_argument("--gnuplot-script", default=None, help="also write a gnuplot script here")
-
-    p = add("gof-table", _cmd_gof_table, help="KS/AD table over a parameter grid")
-    p.add_argument("--grid", default=None, help="CSV grid file with header m1,m2,nu")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--replications", type=int, default=1)
-
-    p = add("omega", _cmd_omega, help="product-law CDF grid and moment table")
-    p.add_argument("--rho", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--n", type=int, default=100000)
-    p.add_argument("--grid-points", type=int, default=500)
-    p.add_argument("--gnuplot-script", default=None)
-
-    p = add("elemental", _cmd_elemental, help="elemental weights of a matrix, or simulated")
-    p.add_argument("--matrix", default=None, help="headerless CSV design matrix")
-    p.add_argument("--generate", action="store_true", help="simulate t-distributed matrices")
-    p.add_argument("--rho", type=int, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--n-matrices", type=int, default=1000)
-    p.add_argument("--mode", choices=("all", "sampled-sets"), default="sampled-sets")
-    p.add_argument("--intercept", action="store_true", help="prepend a constant column")
-
-    p = add("certify-bounds", _cmd_certify_bounds, help="measure the envelope bounds")
-    p.add_argument("--m1", type=float, required=True)
-    p.add_argument("--m2", type=float, required=True)
-    p.add_argument("--nu1", type=float, required=True)
-    p.add_argument("--nu2", type=float, required=True)
-    p.add_argument("--grid", default="200x99", help="log-u x uniform-w grid, e.g. 200x99")
-    p.set_defaults(format="json")
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            for flag, kwargs in {**_COMMON, **flags}.items():
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser, sub.choices
 
 
@@ -391,8 +390,9 @@ def _load_config_pairs(path):
     return pairs
 
 
-def _inject_config(argv, commands):
-    """Expand --config into flag tokens placed before the explicit flags."""
+def _parse_args(argv):
+    """Parse argv by a parser holding the flags of the invoked command alone, the first
+    token once --config is taken out; a --config file's flags go before the explicit ones."""
     path, rest, tokens = None, [], iter(argv)
     for token in tokens:
         if token == "--config":
@@ -403,11 +403,11 @@ def _inject_config(argv, commands):
             path = token.split("=", 1)[1]
         else:
             rest.append(token)
-    if path is None:
-        return argv
-    if not rest or rest[0] not in commands:
-        return rest  # let argparse report the usage error
-    actions = commands[rest[0]]._option_string_actions
+    command = rest[0] if rest and rest[0] in _COMMANDS else None
+    parser, commands = build_parser(command)
+    if path is None or command is None:
+        return parser.parse_args(rest)  # with no command, argparse reports the usage error
+    actions = commands[command]._option_string_actions
     preset = []
     for key, value in _load_config_pairs(path):
         opt = "--" + key.replace("_", "-").lstrip("-")
@@ -417,14 +417,13 @@ def _inject_config(argv, commands):
                 preset.append(opt)
         elif action is not None:
             preset += [opt, value]
-    return rest[:1] + preset + rest[1:]
+    return parser.parse_args(rest[:1] + preset + rest[1:])
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
     try:
-        args = parser.parse_args(_inject_config(argv, commands))
+        args = _parse_args(argv)
         rng._key_array("seed", args.seed)
         script = getattr(args, "gnuplot_script", None)
         if script and args.format == "json":

@@ -6,15 +6,17 @@ Runs each command in a fresh interpreter on the `src/` beside this
 directory, at pinned seeds, in its own empty temporary directory, and
 prints one line per command:
 
-    name exit=CODE FILE=SHA256 ... stderr=SHA256
+    name exit=CODE FILE=SHA256 ... stdout=SHA256 stderr=SHA256
 
 with one FILE=SHA256 for each file the command left, by name.  Paths on
 the command line are relative, so a path a command embeds in its output
 (the gnuplot script) is the same in every run.  Two trees write the same
-bytes, exit codes and stderr included, exactly when their runs of this
-script print the same lines.  The workload commands are those of
-`bench/workloads.py` at its full sizes, written out here with fixed seeds;
-not collected by pytest.
+bytes, exit codes, stdout and stderr included, exactly when their runs of
+this script print the same lines.  The workload commands are those of
+`bench/workloads.py` at its full sizes, written out here with fixed seeds.
+The parser's texts are checked too: the top-level and every command's
+`--help` (on stdout, at COLUMNS=80) and two usage errors (on stderr).
+Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -61,6 +63,13 @@ COMMANDS = [
     ("simulate-w", ["simulate-w", *W_ARGS, "--out", "w.csv"]),
     ("compare-cdf", ["compare-cdf", *W_ARGS, "--out", "cmp.csv"]),
     ("omega", "omega --rho 2 --n2 3 --n 1000000 --seed 105 --out omega.csv".split()),
+    # the parser: help texts and usage errors
+    ("help", ["--help"]),
+    *((f"help-{command}", [command, "--help"]) for command in (
+        "simulate-w", "compare-cdf", "gof-table", "omega", "elemental", "certify-bounds")),
+    ("usage-unknown-command", "bogus --out x.csv".split()),
+    ("usage-unknown-flag",
+     "certify-bounds --m1 3 --m2 2 --nu1 50 --nu2 50 --out cert.json --bogus 1".split()),
 ]
 
 
@@ -71,12 +80,13 @@ def sha256(data: bytes) -> str:
 def run(name: str, argv: list, workdir: Path) -> str:
     """Run one command in `workdir`, which holds only its inputs, and return its digest line."""
     inputs = set(os.listdir(workdir))
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}  # the help's line width
     proc = subprocess.run([sys.executable, "-c", MAIN, *argv], cwd=workdir, env=env,
                           capture_output=True)
     files = sorted(set(os.listdir(workdir)) - inputs)
     digests = [f"{f}={sha256((workdir / f).read_bytes())}" for f in files]
-    return " ".join([name, f"exit={proc.returncode}", *digests, f"stderr={sha256(proc.stderr)}"])
+    return " ".join([name, f"exit={proc.returncode}", *digests,
+                     f"stdout={sha256(proc.stdout)}", f"stderr={sha256(proc.stderr)}"])
 
 
 def main() -> int:

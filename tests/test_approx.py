@@ -488,6 +488,23 @@ def test_certificate_joint_and_scaled_marginal(setting):
     assert report["marginal"]["scaled_sandwich_ok"], report["marginal"]["violations"]
 
 
+@pytest.mark.parametrize("setting", CERTIFICATE_SETTINGS)
+def test_certificate_joint_ratios_match_the_public_densities_point_by_point(setting):
+    """The joint ratios' extremes, recomputed one grid point at a time from the densities."""
+    s = RatioSetting(*setting)
+    report = certify_bounds(s, n_u=20, n_w=9)
+    a1, a2 = report["a1"], report["a2"]
+    u_grid = np.logspace(-4.0, math.log10(report["grid"]["u_max"]), 20)
+    upper, lower = [], []
+    for u in u_grid.tolist():
+        for w in default_w_grid(9).tolist():
+            h, env_w = joint_density(u, w, s), w_envelope_density(w, s.m1, s.m2)
+            upper.append(h / (a1 * u_envelope_upper_density(u, s) * env_w))
+            lower.append(h / (a2 * u_envelope_lower_density(u, s) * env_w))
+    assert report["joint"]["upper_ratio_max"] == pytest.approx(max(upper), rel=1e-12, abs=0.0)
+    assert report["joint"]["lower_ratio_min"] == pytest.approx(min(lower), rel=1e-12, abs=0.0)
+
+
 def test_certificate_reports_plain_marginal_violations_with_points():
     # the plain lower bound cannot hold everywhere (both densities
     # integrate to 1); the certificate must surface the points, not hide them

@@ -461,6 +461,48 @@ def test_bad_config_line_exits_2(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+README_ARGV = {  # the README's examples; simulate-w, which has none, at the bench's flags
+    "simulate-w": "simulate-w --m1 12 --m2 10 --nu 50 --n 1000000 --seed 103 --out w.csv",
+    "compare-cdf": "compare-cdf --m1 12 --m2 10 --nu 50 --n 10000 --seed 1 --out cmp.csv"
+                   " --gnuplot-script cmp.gp",
+    "gof-table": "gof-table --replications 5 --seed 1 --out table.json --format json",
+    "omega": "omega --rho 2 --n2 3 --n 1000000 --seed 1 --out omega.csv",
+    "elemental": "elemental --generate --rho 2 --nu 50 --l 7 --n-matrices 2000 --seed 1"
+                 " --out weights.csv",
+    "certify-bounds": "certify-bounds --m1 3 --m2 2 --nu1 50 --nu2 50 --out cert.json",
+}
+
+
+@pytest.mark.parametrize("command", README_ARGV)
+def test_one_commands_parser_parses_as_the_parser_of_all(command, tmp_path):
+    argv = README_ARGV[command].split()
+    parser, subparsers = build_parser()
+    assert build_parser(command)[0].parse_args(argv) == parser.parse_args(argv)
+    # a config file before the command: the keys that are its flags go before the explicit ones
+    cfg = tmp_path / "ew.cfg"
+    cfg.write_text("seed=7\nn=123\nintercept=yes\nunknown=1\n")
+    actions = subparsers[command]._option_string_actions
+    preset = [token for flag, tokens in (("--seed", ["--seed", "7"]), ("--n", ["--n", "123"]),
+                                         ("--intercept", ["--intercept"]))
+              if flag in actions for token in tokens]
+    expected = parser.parse_args(argv[:1] + preset + argv[1:])
+    assert cli._parse_args(["--config", str(cfg), *argv]) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([command, "--help"] for command in README_ARGV), ["bogus"], [],
+    README_ARGV["certify-bounds"].split() + ["--bogus"],
+], ids=lambda argv: " ".join(argv) or "no-argv")
+def test_help_and_usage_errors_through_main_are_those_of_the_parser_of_all(argv, capsys):
+    with pytest.raises(SystemExit) as by_main:
+        main(argv)
+    out = capsys.readouterr()
+    with pytest.raises(SystemExit) as by_all:
+        build_parser()[0].parse_args(argv)
+    assert (by_main.value.code, out) == (by_all.value.code, capsys.readouterr())
+    assert out.out if argv[-1:] == ["--help"] else out.err.startswith("usage: ew ")
+
+
 def test_negative_seed_exits_2(tmp_path):
     assert run_cli(
         ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 10,
