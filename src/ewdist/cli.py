@@ -6,9 +6,9 @@ Commands: simulate-w, compare-cdf, gof-table, omega, elemental,
 certify-bounds.  Exit codes: 0 success, 2 usage or domain error (an input
 file that is not UTF-8 or holds no rows, and a --gnuplot-script that names
 the --out file, included), a size too large to allocate or a killed worker
-process, 3 I/O failure, 4 numeric non-convergence, non-finite W or t draws
-or an upper envelope constant a1 beyond the float range.  Input files may
-start with a UTF-8 byte-order mark.
+process, 3 I/O failure, 4 numeric non-convergence, non-finite W or t draws,
+Omega draws that underflow to 0 or an upper envelope constant a1 beyond
+the float range.  Input files may start with a UTF-8 byte-order mark.
 A command writes all its files, the table or report and then any gnuplot
 script, as UTF-8 in one call; if anything fails, every regular, non-symlink
 file it opened is removed.  A config file of key=value lines can pre-set
@@ -247,13 +247,17 @@ def _cmd_compare_cdf(args):
     ))
 
 
-def _read_grid_file(path):
-    rows = []
+def _read_lines(path, kind, error):
+    """The lines of text file `path`, a UTF-8 byte-order mark dropped; `error` if not UTF-8."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(list(fh))
+        with open(path, encoding="utf-8-sig") as fh:
+            return list(fh)
     except UnicodeDecodeError as exc:
-        raise DomainError(f"grid file {path} is not UTF-8 text: {exc}") from None
+        raise error(f"{kind} {path} is not UTF-8 text: {exc}") from None
+
+
+def _read_grid_file(path):
+    rows, reader = [], csv.reader(_read_lines(path, "grid file", DomainError))
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != ["m1", "m2", "nu"]:
         raise DomainError(f"grid file {path}: expected header 'm1,m2,nu'")
@@ -373,21 +377,14 @@ def build_parser(command=None):
 
 
 def _load_config_pairs(path):
-    pairs = []
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path, "config", ConfigError), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"config {path}: line {lineno} is not key=value: {raw!r}")
         key, value = line.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
-    return pairs
+        yield key.strip(), value.strip()
 
 
 def _parse_args(argv):

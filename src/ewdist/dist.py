@@ -1,9 +1,10 @@
 """F and Beta distributions (pdf/cdf/sampler) and a multivariate-t row sampler.
 
 Samplers are deterministic given a seed (see rng.py); given a 1-D array of
-seeds they return one row of draws per seed.  F variates are
-generated as a ratio of two gamma draws scaled by the degrees of freedom,
-which is cheap at Monte Carlo scale and needs no quantile function.
+seeds they return one row of draws per seed.  Each checks what it draws:
+`rng.sample_chunks` ignores floating-point errors in every draw.  F variates
+are generated as a ratio of two gamma draws scaled by the degrees of
+freedom, which is cheap at Monte Carlo scale and needs no quantile function.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ def f_sample(p: FParams, n: int, seed) -> np.ndarray:
     def draw(rng, count):
         g1 = rng.standard_gamma(0.5 * p.m, count)
         g2 = rng.standard_gamma(0.5 * p.nu, count)
-        with np.errstate(divide="ignore", over="ignore"):  # per thread; chunks run in a pool
-            return (g1 / p.m) / (g2 / p.nu)
+        return (g1 / p.m) / (g2 / p.nu)
 
     return sample_chunks(n, seed, draw)
 
@@ -125,15 +125,12 @@ def beta_cdf(x, s: BetaShape):
 
 
 def beta_sample(s: BetaShape, n: int, seed) -> np.ndarray:
-    def draw(rng, count):
-        return rng.beta(s.alpha, s.beta, count)
-
-    return sample_chunks(n, seed, draw)
+    return sample_chunks(n, seed, lambda rng, count: rng.beta(s.alpha, s.beta, count))
 
 
 def w_sample(m1: float, m2: float, nu: float, n: int, seed) -> np.ndarray:
     """Draws of W = Y1/(Y1+Y2) for independent Y1 ~ F(m1, nu), Y2 ~ F(m2, nu);
-    NumericError if one is not finite (a tiny nu can make both F draws inf)."""
+    NumericError if one is not finite: a tiny nu can make both F draws inf, a tiny m1 or m2 0/0."""
     y1 = f_sample(FParams(m1, nu), n, derive_seed(seed, 0))
     y2 = f_sample(FParams(m2, nu), n, derive_seed(seed, 1))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -155,9 +152,7 @@ def mvt_sample_rows(p: MvtParams, n_rows: int, seed) -> np.ndarray:
     def draw(rng, count):
         z = rng.standard_normal((count, p.dim))
         chi2 = rng.chisquare(p.dof, count)
-        # per thread; chunks run in a pool
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return z / np.sqrt(chi2 / p.dof)[:, None]
+        return z / np.sqrt(chi2 / p.dof)[:, None]
 
     out = sample_chunks(n_rows, seed, draw)
     bad = int(np.count_nonzero(~np.isfinite(out).all(axis=-1)))

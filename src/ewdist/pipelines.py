@@ -21,7 +21,7 @@ import numpy as np
 
 from . import approx, elemental, goftests, product, rng
 from .dist import MvtParams, beta_cdf, beta_sample, w_sample
-from .errors import RegimeError
+from .errors import NumericError, RegimeError
 from .rng import derive_seed
 from .specfun import _validate_count
 
@@ -132,11 +132,16 @@ def omega_rows(rho, n2, n, grid_points, seed):
 
     Columns row_type, x, analytic, empirical.  Grid rows: ("cdf", omega,
     numeric cdf, Monte Carlo ecdf), then moment rows: ("moment", k, closed
-    form, Monte Carlo mean of Omega^k) for k = 0..3.
+    form, Monte Carlo mean of Omega^k) for k = 0..3.  NumericError if a
+    draw underflows to 0 (a large n2).
     """
     spec = product.ProductSpec(rho, n2)
     grid_points = _validate_count("grid_points", grid_points)
     draws = np.sort(product.omega_sample(spec, n, seed))
+    underflow = int(np.searchsorted(draws, 0.0, side="right"))  # no draw is negative
+    if underflow:  # the KS step needs every draw in (0, 1)
+        raise NumericError(f"{underflow} of {draws.size} Omega draws underflow to 0",
+                           n2=spec.n2, rho=spec.rho, underflow=underflow)
     emp = goftests.EmpiricalCdf(draws)
     grid = np.linspace(1e-8, 1.0 - 1e-8, grid_points)
     cdf_num = np.asarray(product.omega_cdf_numeric(spec, grid))

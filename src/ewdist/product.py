@@ -63,12 +63,8 @@ class ProductSpec:
 
 def omega_sample(spec: ProductSpec, n: int, seed: int) -> np.ndarray:
     """n draws of the product of n2 independent Beta factors."""
-    shape = spec.factor_shape
-
-    def draw(rng, count):
-        return rng.beta(shape.alpha, shape.beta, (spec.n2, count)).prod(axis=0)
-
-    return sample_chunks(n, seed, draw)
+    a, b, n2 = spec.factor_shape.alpha, spec.factor_shape.beta, spec.n2
+    return sample_chunks(n, seed, lambda rng, count: rng.beta(a, b, (n2, count)).prod(axis=0))
 
 
 def omega_moment(spec: ProductSpec, k) -> float:

@@ -16,7 +16,9 @@ chunks, concatenated in chunk order, so the result depends only on
 (seed, parameters, n) and never on how many workers processed the chunks.
 A sampler call draws every chunk of every seed through one thread pool,
 one thread per CPU available to the process, capped at the chunks per
-seed; seeds of one chunk draw on the calling thread.
+seed; seeds of one chunk draw on the calling thread.  Either way every
+draw runs with numpy's floating-point errors ignored, set once per thread,
+so no draw callback states an error policy: each sampler checks its draws.
 
 `_fork_map` is the one process pool: it maps a module-level function over
 items in forked workers, in item order, or in the calling process when its
@@ -41,6 +43,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -221,7 +224,8 @@ def sample_chunks(n: int, seed, draw):
     `draw(rng, count)` must return an array whose leading axis has length
     `count`, and not keep `rng`; chunks are concatenated in index order.  With
     a 1-D array of seeds the result has one row per seed, shape (len(seeds), n, ...),
-    and row i equals the draws for seeds[i] alone.
+    and row i equals the draws for seeds[i] alone.  Every draw runs with numpy's
+    floating-point errors ignored, set once per thread: the caller checks what it returns.
     """
     n = _validate_count("sample size", n)
     seeds = _key_array("seed", seed)
@@ -236,10 +240,11 @@ def sample_chunks(n: int, seed, draw):
         """Pair i, seed-major: chunk i % n_chunks of seed i // n_chunks."""
         return draw(_keyed(keys[i]), min(CHUNK_SIZE, n - i % n_chunks * CHUNK_SIZE))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if workers > 1:  # numpy's error state is per thread, and a new thread starts at the default
+        with ThreadPoolExecutor(workers, initializer=partial(np.seterr, all="ignore")) as pool:
             parts = list(pool.map(one, range(len(keys))))
     else:
-        parts = list(map(one, range(len(keys))))
+        with np.errstate(all="ignore"):
+            parts = list(map(one, range(len(keys))))
     out = np.concatenate(parts or [np.empty(0)])  # no seeds: shape (0, n)
     return out.reshape(*seeds.shape, n, *out.shape[1:])

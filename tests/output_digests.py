@@ -15,7 +15,9 @@ bytes, exit codes, stdout and stderr included, exactly when their runs of
 this script print the same lines.  The workload commands are those of
 `bench/workloads.py` at its full sizes, written out here with fixed seeds.
 The parser's texts are checked too: the top-level and every command's
-`--help` (on stdout, at COLUMNS=80) and two usage errors (on stderr).
+`--help` (on stdout, at COLUMNS=80) and two usage errors (on stderr), and
+so are four sampler inputs that exit 4: 0/0 F draws in `simulate-w`,
+`compare-cdf` and a forked `gof-table`, and `omega` draws underflowing to 0.
 Not collected by pytest.
 """
 
@@ -63,6 +65,15 @@ COMMANDS = [
     ("simulate-w", ["simulate-w", *W_ARGS, "--out", "w.csv"]),
     ("compare-cdf", ["compare-cdf", *W_ARGS, "--out", "cmp.csv"]),
     ("omega", "omega --rho 2 --n2 3 --n 1000000 --seed 105 --out omega.csv".split()),
+    # exit 4 from the samplers: 0/0 F draws (the gof-table in forked workers, at or above
+    # _FORK_DRAWS, when two CPUs are available), and Omega draws that underflow to 0
+    ("exit4-simulate-w",
+     "simulate-w --m1 0.001 --m2 0.001 --nu 0.001 --n 1000 --seed 1 --out w.csv".split()),
+    ("exit4-compare-cdf",
+     "compare-cdf --m1 0.002 --m2 0.001 --nu 0.003 --n 1000 --seed 1 --out cmp.csv".split()),
+    ("exit4-gof-table",
+     "gof-table --grid grid.csv --replications 1000 --seed 1 --out gof.csv".split()),
+    ("exit4-omega", "omega --rho 2 --n2 1000 --n 1000 --seed 1 --out omega.csv".split()),
     # the parser: help texts and usage errors
     ("help", ["--help"]),
     *((f"help-{command}", [command, "--help"]) for command in (
@@ -98,6 +109,8 @@ def main() -> int:
                 matrix = np.random.default_rng(20261020).standard_normal((40, 3))
                 (workdir / "design.csv").write_text(
                     "".join(",".join(map(repr, row.tolist())) + "\n" for row in matrix))
+            if "grid.csv" in argv:  # two rows of 1000 x 200 draws, each forked if CPUs allow
+                (workdir / "grid.csv").write_text("m1,m2,nu\n" + "0.002,0.001,0.003\n" * 2)
             print(run(name, argv, workdir), flush=True)
     return 0
 

@@ -1020,19 +1020,68 @@ def test_certify_bounds_past_the_float_range_exits_4_and_writes_nothing(tmp_path
     assert not out.exists()
 
 
-def test_simulate_w_refuses_non_finite_draws(tmp_path, capsys):
+def test_simulate_w_refuses_non_finite_draws(tmp_path, capsys, monkeypatch):
+    # a tiny nu makes both F draws inf; a tiny m1 and m2 make 0/0 F draws, on the calling
+    # thread at n = 1000 (one chunk) and on the sampler's pool threads at n = 100000
+    monkeypatch.setattr("ewdist.rng._available_cpus", lambda: 2)
     out = tmp_path / "w.csv"
-    argv = ["simulate-w", "--m1", 3, "--m2", 2, "--nu", 0.001, "--n", 100, "--seed", 1,
-            "--out", out]
+    for (m1, m2, nu), n, bad in [((3, 2, 0.001), 100, 65), ((0.001, 0.001, 0.001), 1000, 901),
+                                   ((0.001, 0.001, 0.001), 100000, 88333)]:
+        argv = ["simulate-w", "--m1", m1, "--m2", m2, "--nu", nu, "--n", n, "--seed", 1,
+                "--out", out]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(argv) == 4
+        assert caught == []
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"ew: numeric failure: {bad} of {n} W draws are not finite",
+            f"ew:   m1={float(m1)}", f"ew:   m2={float(m2)}", f"ew:   nonfinite={bad}",
+            f"ew:   nu={float(nu)}",
+        ]
+
+
+def test_compare_cdf_refuses_nan_f_draws(tmp_path, capsys):
+    out, script = tmp_path / "cmp.csv", tmp_path / "cmp.gp"
+    argv = ["compare-cdf", "--m1", 0.002, "--m2", 0.001, "--nu", 0.003, "--n", 1000,
+            "--seed", 1, "--out", out, "--gnuplot-script", script]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert run_cli(argv) == 4
     assert caught == []
-    assert not out.exists()
+    assert not out.exists() and not script.exists()
     assert capsys.readouterr().err.splitlines() == [
-        "ew: numeric failure: 65 of 100 W draws are not finite",
-        "ew:   m1=3.0", "ew:   m2=2.0", "ew:   nonfinite=65", "ew:   nu=0.001",
+        "ew: numeric failure: 614 of 1000 W draws are not finite",
+        "ew:   m1=0.002", "ew:   m2=0.001", "ew:   nonfinite=614", "ew:   nu=0.003",
     ]
+
+
+def test_gof_table_refuses_nan_f_draws_in_forked_workers(tmp_path, capfd, monkeypatch):
+    # two grid rows of 1000 x 200 draws each: at least _FORK_DRAWS, so each row runs in a
+    # forked worker, whose own stderr capfd reads
+    monkeypatch.setattr("ewdist.rng._available_cpus", lambda: 2)
+    grid, out = tmp_path / "grid.csv", tmp_path / "gof.csv"
+    grid.write_text("m1,m2,nu\n0.002,0.001,0.003\n0.002,0.001,0.003\n")
+    assert 2 * 1000 * 200 >= pipelines._FORK_DRAWS
+    argv = ["gof-table", "--grid", grid, "--replications", 1000, "--seed", 1, "--out", out]
+    assert run_cli(argv) == 4
+    err = capfd.readouterr().err.splitlines()
+    assert all(line.startswith("ew:") for line in err)
+    assert err == ["ew: numeric failure: 125317 of 200000 W draws are not finite",
+                   "ew:   m1=0.002", "ew:   m2=0.001", "ew:   nonfinite=125317", "ew:   nu=0.003"]
+    assert not out.exists()
+
+
+def test_omega_with_draws_underflowing_to_0_exits_4(tmp_path, capsys):
+    # at n2 = 1000 the product of the Beta factors underflows; the KS step needs (0, 1)
+    out = tmp_path / "omega.csv"
+    argv = ["omega", "--rho", 2, "--n2", 1000, "--n", 1000, "--seed", 1, "--out", out]
+    assert run_cli(argv) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "ew: numeric failure: 989 of 1000 Omega draws underflow to 0",
+        "ew:   n2=1000", "ew:   rho=2", "ew:   underflow=989",
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["sampled-sets", "all"])

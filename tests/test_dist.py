@@ -17,7 +17,7 @@ from ewdist.dist import (
     mvt_sample_rows,
     w_sample,
 )
-from ewdist.errors import DomainError
+from ewdist.errors import DomainError, NumericError
 from ewdist.goftests import ks_one_sample
 from ewdist.rng import sample_chunks
 from ewdist.specfun import ln_beta
@@ -174,6 +174,12 @@ def test_w_sample_range_and_determinism():
     a = w_sample(3, 2, 50, 10_000, 9)
     assert np.all((a > 0) & (a < 1))
     assert np.array_equal(a, w_sample(3, 2, 50, 10_000, 9))
+
+
+def test_w_sample_refuses_nan_f_draws():
+    # a tiny m1 and m2 make 0/0 F draws; the suite makes any numpy warning an error
+    with pytest.raises(NumericError, match="^901 of 1000 W draws are not finite$"):
+        w_sample(0.001, 0.001, 0.001, 1000, 1)
 
 
 def test_mvt_gaussian_limit_covariance():

@@ -208,6 +208,23 @@ def test_sample_chunks_builds_one_thread_pool_per_call(monkeypatch):
     assert built == [2]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sample_chunks_ignores_float_errors_on_every_thread_and_restores_the_callers(
+        monkeypatch, cpus):
+    monkeypatch.setattr("ewdist.rng._available_cpus", lambda: cpus)
+    states = []
+
+    def nan_draw(gen, count):
+        states.append(np.geterr())
+        return np.zeros(count) / np.zeros(count)
+
+    before = np.geterr()
+    out = sample_chunks(3 * CHUNK_SIZE, np.arange(4, dtype=np.uint64), nan_draw)
+    assert np.isnan(out).all() and out.shape == (4, 3 * CHUNK_SIZE)
+    assert states == [dict.fromkeys(before, "ignore")] * 12
+    assert np.geterr() == before
+
+
 def test_array_sample_chunks_of_no_seeds():
     assert sample_chunks(10, np.array([], dtype=np.uint64), _gamma).shape == (0, 10)
     with pytest.raises(DomainError, match="1-D"):
