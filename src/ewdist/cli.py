@@ -8,11 +8,13 @@ file that is not UTF-8 or holds no rows, and a --gnuplot-script that names
 the --out file, included), a size too large to allocate or a killed worker
 process, 3 I/O failure, 4 numeric non-convergence, non-finite W or t draws,
 Omega draws that underflow to 0 or an upper envelope constant a1 beyond
-the float range.  Input files may start with a UTF-8 byte-order mark.
+the float range.  The --config, --grid and --matrix files are read as UTF-8
+text by one reader, `_read_lines`, and may start with a byte-order mark; a
+compressed file is read as its bytes, and a path is never fetched as a URL.
 A command writes all its files, the table or report and then any gnuplot
 script, as UTF-8 in one call; if anything fails, every regular, non-symlink
 file it opened is removed.  A config file of key=value lines can pre-set
-any flag of the invoked command; explicit flags override it.
+any flag of the invoked command, but not `help`; explicit flags override it.
 Outputs are byte-identical for identical (flags, seed), whatever the
 number of worker threads or processes.  On exit 4 the error's diagnostics
 follow the message on stderr as sorted key=value pairs.
@@ -52,6 +54,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from concurrent.futures import BrokenExecutor
 from functools import partial
 from itertools import chain, repeat
@@ -60,7 +63,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import approx, dist, pipelines, rng
-from .elemental import load_design_csv
 from .errors import ConfigError, DomainError, EwdistError, NumericError
 
 gc.freeze()  # the import-time heap lives as long as the process: keep it out of every collection
@@ -274,6 +276,19 @@ def _read_grid_file(path):
     return rows
 
 
+def _read_design_csv(path):
+    """The headerless CSV of reals at `path` as a 2-D array; the weight functions validate it."""
+    lines = _read_lines(path, "design matrix CSV", DomainError)
+    try:
+        with warnings.catch_warnings():  # numpy warns of input with no data lines, and returns 0x1
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(lines, delimiter=",", ndmin=2)
+    except UserWarning:
+        raise DomainError(f"design matrix CSV {path} holds no rows") from None
+    except ValueError as exc:
+        raise DomainError(f"could not parse design matrix CSV {path}: {exc}") from exc
+
+
 def _cmd_gof_table(args):
     grid = _read_grid_file(args.grid) if args.grid else pipelines.DEFAULT_GOF_GRID
     _emit_table(args, *pipelines.gof_table_rows(grid, args.n, args.replications, args.seed))
@@ -291,7 +306,7 @@ def _cmd_elemental(args):
     if args.matrix and args.generate:
         raise DomainError("pass either --matrix or --generate, not both")
     if args.matrix:
-        columns, summary = pipelines.elemental_matrix_rows(load_design_csv(args.matrix))
+        columns, summary = pipelines.elemental_matrix_rows(_read_design_csv(args.matrix))
     elif args.generate:
         for name in ("rho", "nu", "l"):
             if getattr(args, name) is None:
@@ -360,8 +375,8 @@ _COMMANDS = {
 
 
 def build_parser(command=None):
-    """(parser, {name: subparser}): every command is listed, but only `command`, or every
-    command if None, gets its flags."""
+    """The parser: every command is listed, but only `command`, or every command if None,
+    gets its flags."""
     parser = argparse.ArgumentParser(
         prog="ew",
         description="Beta approximation of F-variate ratios and elemental weight laws",
@@ -373,7 +388,7 @@ def build_parser(command=None):
             for flag, kwargs in {**_COMMON, **flags}.items():
                 p.add_argument(flag, **kwargs)
             p.set_defaults(func=func)
-    return parser, sub.choices
+    return parser
 
 
 def _load_config_pairs(path):
@@ -401,19 +416,19 @@ def _parse_args(argv):
         else:
             rest.append(token)
     command = rest[0] if rest and rest[0] in _COMMANDS else None
-    parser, commands = build_parser(command)
+    parser = build_parser(command)
     if path is None or command is None:
         return parser.parse_args(rest)  # with no command, argparse reports the usage error
-    actions = commands[command]._option_string_actions
-    preset = []
+    flags, preset = {**_COMMON, **_COMMANDS[command][2]}, []
     for key, value in _load_config_pairs(path):
         opt = "--" + key.replace("_", "-").lstrip("-")
-        action = actions.get(opt)  # keys for other commands are allowed and ignored
-        if isinstance(action, argparse._StoreTrueAction):
-            if value.lower() in ("1", "true", "yes", "on"):
-                preset.append(opt)
-        elif action is not None:
+        kwargs = flags.get(opt)  # keys for other commands, and help, are allowed and ignored
+        if kwargs is None:
+            continue
+        if kwargs.get("action") != "store_true":
             preset += [opt, value]
+        elif value.lower() in ("1", "true", "yes", "on"):
+            preset.append(opt)
     return parser.parse_args(rest[:1] + preset + rest[1:])
 
 

@@ -12,13 +12,15 @@ of one), and every weight comes from `_weights` over (matrix, subset) pairs
 of it: one stacked matmul and slogdet per chunk of 2**15 pairs, which give
 the same bits as per-subset 2-D calls, then `math.exp`, as `np.exp` differs
 from it by one ulp on about 5% of the weights.
+
+The module does weight math alone and opens no file: the CLI reads a design
+matrix CSV.  `simulate_weight_distribution` is the one simulation entry.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import warnings
 
 import numpy as np
 
@@ -35,7 +37,6 @@ __all__ = [
     "expected_weight_sum",
     "simulate_weight_distribution",
     "simulated_design",
-    "load_design_csv",
 ]
 
 ENUMERATION_CAP = 1_000_000
@@ -218,12 +219,6 @@ def simulate_weight_distribution(
     for an l x dim design of 2**63 bytes or more, or in sampled-sets mode past
     C(l, dim+1) = 2**63 subsets; all before any rank or design is drawn.
     """
-    return _simulate(p, l, n_matrices, seed, mode, intercept, n_matrices)[1]
-
-
-def _simulate(p, l, n_matrices, seed, mode, intercept, n_designs):
-    """(stack, weights): designs 0..n_designs-1 drawn and validated as one stack, and
-    the `simulate_weight_distribution` weights of the first n_matrices."""
     if mode not in ("all", "sampled-sets"):
         raise DomainError(f"mode must be 'all' or 'sampled-sets', got {mode!r}")
     l = _validate_count("l", l)
@@ -232,27 +227,11 @@ def _simulate(p, l, n_matrices, seed, mode, intercept, n_designs):
     if 8 * l * p.dim >= 2**63:
         raise SizeError(f"an l x rho = {l} x {p.dim} float64 design exceeds 2**63 bytes")
     n_matrices = _validate_count("n_matrices", n_matrices, least=0)
-    k, j = p.dim + 1, np.arange(int(n_designs), dtype=np.uint64)
+    k, j = p.dim + 1, np.arange(n_matrices, dtype=np.uint64)
     if mode == "all":
         subsets = _subsets(l, k)[None]
     else:
         count = _rank_count(l, k)
-        ranks = _seeded_draws(derive_seed(seed, 2 * j[:n_matrices] + 1),
-                              lambda rng: rng.integers(0, count))
+        ranks = _seeded_draws(derive_seed(seed, 2 * j + 1), lambda rng: rng.integers(0, count))
         subsets = _subsets_by_rank(l, k, ranks)[:, None]
-    stack, log_full = _validated(simulated_design(p, l, seed, j, intercept))
-    return stack, _weights(stack[:n_matrices], log_full[:n_matrices], subsets)
-
-
-def load_design_csv(path) -> np.ndarray:
-    """Parse a headerless CSV of reals into a 2-D array; the weight functions validate it."""
-    try:
-        with warnings.catch_warnings():  # numpy warns of a file with no data lines, and returns 0x1
-            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(path, delimiter=",", ndmin=2, encoding="utf-8-sig")
-    except UserWarning:
-        raise DomainError(f"design matrix CSV {path} holds no rows") from None
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"design matrix CSV {path} is not UTF-8 text: {exc}") from None
-    except ValueError as exc:
-        raise DomainError(f"could not parse design matrix CSV {path}: {exc}") from exc
+    return _weights(*_validated(simulated_design(p, l, seed, j, intercept)), subsets)

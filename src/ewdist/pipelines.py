@@ -170,24 +170,23 @@ def elemental_simulation_report(rho, nu, l, n_matrices, seed, mode="sampled-sets
                                 intercept=False):
     """Columns draw_index, weight of simulated t-model weights, plus product-law KS.
 
-    The rows are standard rho-variate t(nu) draws: no scale matrix changes a
-    weight.  The product-law comparison is reported for both factor-count
+    The weights are `elemental.simulate_weight_distribution`'s.  The rows are
+    standard rho-variate t(nu) draws: no scale matrix changes a weight.  The
+    Cauchy-Binet weight sum is that of `elemental.simulated_design` matrix 0,
+    drawn even when no weights are asked for, and None past the enumeration
+    cap.  The product-law comparison is reported for both factor-count
     conventions (l - rho and l - rho - 1); neither is asserted.
     """
     p = MvtParams(dim=rho, dof=float(nu))
-    rho = p.dim
-    stack, weights = elemental._simulate(p, l, n_matrices, seed, mode, intercept,
-                                         max(n_matrices, 1))
-
-    # weight-sum check on matrix 0, drawn even when no weights are asked for;
-    # None past the enumeration cap
-    k, cb_sum = rho + 1, None
+    rho, k, cb_sum = p.dim, p.dim + 1, None
+    weights = elemental.simulate_weight_distribution(p, l, n_matrices, seed, mode, intercept)
+    first = elemental.simulated_design(p, l, seed, 0, intercept)
     if math.comb(l, k) <= elemental.ENUMERATION_CAP:
-        cb_sum = float(sum(elemental.all_weights(stack[0], set_size=k)[1]))
+        cb_sum = float(sum(elemental.all_weights(first, set_size=k)[1]))
 
     summary = {
         "cauchy_binet_sum_first_matrix": cb_sum,
-        "cauchy_binet_expected": elemental.expected_weight_sum(l, stack.shape[2], k),
+        "cauchy_binet_expected": elemental.expected_weight_sum(l, first.shape[1], k),
         "n_weights": weights.size,
     }
     eligible = weights[(weights > 0.0) & (weights < 1.0)]

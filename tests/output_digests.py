@@ -17,12 +17,16 @@ this script print the same lines.  The workload commands are those of
 The parser's texts are checked too: the top-level and every command's
 `--help` (on stdout, at COLUMNS=80) and two usage errors (on stderr), and
 so are four sampler inputs that exit 4: 0/0 F draws in `simulate-w`,
-`compare-cdf` and a forked `gof-table`, and `omega` draws underflowing to 0.
+`compare-cdf` and a forked `gof-table`, and `omega` draws underflowing to 0,
+and so is the input layer: `--config` files that set an `elemental --generate`
+and that name `help`, and `elemental --matrix` on a gzip file and on a
+missing one.  Each command's input files are written in its directory.
 Not collected by pytest.
 """
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import os
 import subprocess
@@ -81,6 +85,12 @@ COMMANDS = [
     ("usage-unknown-command", "bogus --out x.csv".split()),
     ("usage-unknown-flag",
      "certify-bounds --m1 3 --m2 2 --nu1 50 --nu2 50 --out cert.json --bogus 1".split()),
+    # the input layer: config files and the design-matrix reader
+    ("config-elemental", GENERATE + "--config generate.cfg --seed 106 --out generate.csv".split()),
+    ("config-help",
+     "compare-cdf --m1 3 --m2 2 --nu 50 --n 100 --config help.cfg --out cmp.csv".split()),
+    ("matrix-gzip", "elemental --matrix design.csv.gz --seed 104 --out matrix.csv".split()),
+    ("matrix-missing", "elemental --matrix absent.csv --seed 104 --out matrix.csv".split()),
 ]
 
 
@@ -100,17 +110,28 @@ def run(name: str, argv: list, workdir: Path) -> str:
                      f"stdout={sha256(proc.stdout)}", f"stderr={sha256(proc.stderr)}"])
 
 
+def input_files() -> dict:
+    """{name: bytes} of each input file that a command may name."""
+    matrix = np.random.default_rng(20261020).standard_normal((40, 3))  # 40 rows of 3 columns
+    design = "".join(",".join(map(repr, row.tolist())) + "\n" for row in matrix).encode()
+    return {
+        "design.csv": design,
+        "design.csv.gz": gzip.compress(design, mtime=0),
+        # two rows of 1000 x 200 draws, each forked if CPUs allow
+        "grid.csv": b"m1,m2,nu\n" + b"0.002,0.001,0.003\n" * 2,
+        "generate.cfg": b"intercept=yes\nn-matrices=50\n",
+        "help.cfg": b"help=1\n",
+    }
+
+
 def main() -> int:
+    files = input_files()
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in COMMANDS:
             workdir = Path(tmp) / name
             workdir.mkdir()
-            if "--matrix" in argv:  # 40 standard-normal rows of 3 columns
-                matrix = np.random.default_rng(20261020).standard_normal((40, 3))
-                (workdir / "design.csv").write_text(
-                    "".join(",".join(map(repr, row.tolist())) + "\n" for row in matrix))
-            if "grid.csv" in argv:  # two rows of 1000 x 200 draws, each forked if CPUs allow
-                (workdir / "grid.csv").write_text("m1,m2,nu\n" + "0.002,0.001,0.003\n" * 2)
+            for file in set(files) & set(argv):
+                (workdir / file).write_bytes(files[file])
             print(run(name, argv, workdir), flush=True)
     return 0
 

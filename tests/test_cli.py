@@ -1,6 +1,7 @@
 import argparse
 import csv
 import errno
+import gzip
 import io
 import json
 import multiprocessing
@@ -331,6 +332,45 @@ def test_missing_matrix_file_exits_3(tmp_path):
     ) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["gof-table", "--grid"], ["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--config"],
+    ["elemental", "--matrix"],
+], ids=["grid", "config", "matrix"])
+def test_missing_input_file_exits_3_with_one_message(tmp_path, capsys, argv):
+    path, out = tmp_path / "absent.csv", tmp_path / "o.csv"
+    assert run_cli([*argv, path, "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        f"ew: i/o failure: [Errno 2] No such file or directory: {str(path)!r}\n")
+    assert not out.exists()
+
+
+def test_gzipped_matrix_file_is_not_utf8_text(tmp_path, capsys):
+    matrix, out = tmp_path / "m.csv.gz", tmp_path / "o.csv"
+    matrix.write_bytes(gzip.compress(b"1,2\n3,4\n5,7\n"))
+    assert run_cli(["elemental", "--matrix", matrix, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ew: design matrix CSV {matrix} is not UTF-8 text: ")
+    assert not out.exists()
+
+
+def test_matrix_path_never_reads_a_compressed_sibling(tmp_path, capsys):
+    matrix, out = tmp_path / "m.csv", tmp_path / "o.csv"
+    (tmp_path / "m.csv.gz").write_bytes(gzip.compress(b"1,2\n3,4\n5,7\n"))
+    assert run_cli(["elemental", "--matrix", matrix, "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        f"ew: i/o failure: [Errno 2] No such file or directory: {str(matrix)!r}\n")
+    assert not out.exists()
+
+
+def test_matrix_file_with_a_bad_cell_exits_2(tmp_path, capsys):
+    matrix, out = tmp_path / "m.csv", tmp_path / "o.csv"
+    matrix.write_text("1.0,2.0\nnot,numbers\n")
+    assert run_cli(["elemental", "--matrix", matrix, "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"ew: could not parse design matrix CSV {matrix}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["", "# a comment only\n\n"], ids=["empty", "comment-only"])
 def test_matrix_file_without_rows_exits_2_with_one_message(tmp_path, text):
     matrix, out = tmp_path / "m.csv", tmp_path / "o.csv"
@@ -461,6 +501,15 @@ def test_bad_config_line_exits_2(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_config_help_key_is_not_a_flag(tmp_path, capsys):
+    cfg, out = tmp_path / "h.cfg", tmp_path / "c.csv"
+    cfg.write_text("help=1\n")
+    assert run_cli(["compare-cdf", "--m1", 3, "--m2", 2, "--nu", 50, "--n", 100,
+                    "--config", cfg, "--out", out]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.exists()
+
+
 README_ARGV = {  # the README's examples; simulate-w, which has none, at the bench's flags
     "simulate-w": "simulate-w --m1 12 --m2 10 --nu 50 --n 1000000 --seed 103 --out w.csv",
     "compare-cdf": "compare-cdf --m1 12 --m2 10 --nu 50 --n 10000 --seed 1 --out cmp.csv"
@@ -476,15 +525,15 @@ README_ARGV = {  # the README's examples; simulate-w, which has none, at the ben
 @pytest.mark.parametrize("command", README_ARGV)
 def test_one_commands_parser_parses_as_the_parser_of_all(command, tmp_path):
     argv = README_ARGV[command].split()
-    parser, subparsers = build_parser()
-    assert build_parser(command)[0].parse_args(argv) == parser.parse_args(argv)
+    parser = build_parser()
+    assert build_parser(command).parse_args(argv) == parser.parse_args(argv)
     # a config file before the command: the keys that are its flags go before the explicit ones
     cfg = tmp_path / "ew.cfg"
     cfg.write_text("seed=7\nn=123\nintercept=yes\nunknown=1\n")
-    actions = subparsers[command]._option_string_actions
+    flags = {**cli._COMMON, **cli._COMMANDS[command][2]}
     preset = [token for flag, tokens in (("--seed", ["--seed", "7"]), ("--n", ["--n", "123"]),
                                          ("--intercept", ["--intercept"]))
-              if flag in actions for token in tokens]
+              if flag in flags for token in tokens]
     expected = parser.parse_args(argv[:1] + preset + argv[1:])
     assert cli._parse_args(["--config", str(cfg), *argv]) == expected
 
@@ -498,7 +547,7 @@ def test_help_and_usage_errors_through_main_are_those_of_the_parser_of_all(argv,
         main(argv)
     out = capsys.readouterr()
     with pytest.raises(SystemExit) as by_all:
-        build_parser()[0].parse_args(argv)
+        build_parser().parse_args(argv)
     assert (by_main.value.code, out) == (by_all.value.code, capsys.readouterr())
     assert out.out if argv[-1:] == ["--help"] else out.err.startswith("usage: ew ")
 
@@ -554,7 +603,7 @@ def ref_csv_bytes(header, rows, summary):
 
 
 def ref_json_bytes(argv, command, header, rows, summary):
-    args = build_parser()[0].parse_args(argv)
+    args = build_parser().parse_args(argv)
     parameters = {
         k: v for k, v in vars(args).items()
         if k not in ("command", "func", "out", "format", "config", "gnuplot_script")

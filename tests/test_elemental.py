@@ -11,7 +11,6 @@ from ewdist.elemental import (
     as_design_matrix,
     chain_ratios,
     expected_weight_sum,
-    load_design_csv,
     simulate_weight_distribution,
     simulated_design,
     weight_of_set,
@@ -362,7 +361,7 @@ def test_simulate_intercept_weights_sum_to_one():
     assert sum(weights) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_design_matrix_validation(rng, tmp_path):
+def test_design_matrix_validation(rng):
     with pytest.raises(RankError):
         as_design_matrix(np.ones((4, 2)))
     with pytest.raises(DomainError):
@@ -373,12 +372,6 @@ def test_design_matrix_validation(rng, tmp_path):
                  lambda x: chain_ratios(x, (1, 2))):
         with pytest.raises(DomainError, match="must be 2-D"):
             call(stack)
-    path = tmp_path / "m.csv"
-    path.write_text("1.0,2.0\nnot,numbers\n")
-    with pytest.raises(DomainError):
-        load_design_csv(path)
-    with pytest.raises(OSError):
-        load_design_csv(tmp_path / "missing.csv")
 
 
 def test_weight_subset_validation(rng):

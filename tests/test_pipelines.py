@@ -177,10 +177,28 @@ def test_elemental_simulation_report_draws_each_design_once(monkeypatch, mode, n
     monkeypatch.setattr(elemental, "mvt_sample_rows", spy)
     _, summary = pipelines.elemental_simulation_report(2, 50, 7, n_matrices, seed=9, mode=mode)
     monkeypatch.undo()
-    # one draw of designs 0..max(n_matrices, 1) - 1; matrix 0 carries the weight-sum check
-    assert len(draws) == 1
-    assert np.array_equal(draws[0], derive_seed(9, 2 * np.arange(max(n_matrices, 1))))
+    # one draw of the weighted designs 0..n_matrices - 1, then matrix 0 for the weight-sum check
+    assert len(draws) == 2
+    assert np.array_equal(draws[0], derive_seed(9, 2 * np.arange(n_matrices)))
+    assert np.array_equal(draws[1], derive_seed(9, 0))
     first = elemental.simulated_design(MvtParams(2, 50.0), 7, 9, 0)
     expected = float(sum(elemental.all_weights(first, set_size=3)[1]))
     assert summary["cauchy_binet_sum_first_matrix"] == expected
     assert summary["n_weights"] == n_matrices * (35 if mode == "all" else 1)
+
+
+@pytest.mark.parametrize("rho, nu, l, seed, mode, intercept, cb_sum, expected", [
+    (2, 50, 7, 9, "sampled-sets", False, 5.000000000000001, 5.0),
+    (2, 50, 7, 9, "all", True, 1.0000000000000002, 1.0),
+    (3, 5.5, 9, 3, "all", False, 5.999999999999996, 6.0),
+    (2, 50, 200, 9, "sampled-sets", False, None, 198.0),  # C(200, 3) is past ENUMERATION_CAP
+    (2, 50, 200, 9, "sampled-sets", True, None, 1.0),
+])
+def test_elemental_simulation_report_without_weights(rho, nu, l, seed, mode, intercept, cb_sum,
+                                                     expected):
+    # n_matrices = 0 still draws matrix 0 for the weight sum, within the cap
+    columns, summary = pipelines.elemental_simulation_report(rho, nu, l, 0, seed, mode, intercept)
+    assert [len(col) for col in columns.values()] == [0, 0]
+    assert summary == {"cauchy_binet_sum_first_matrix": cb_sum, "cauchy_binet_expected": expected,
+                       "n_weights": 0, f"ks_vs_product_n2_{l - rho}": None,
+                       f"ks_vs_product_n2_{l - rho - 1}": None}
